@@ -1,7 +1,7 @@
 /**
  * @file
- * FP16 backends: the `reference` oracle, the `flash` FlashDecoding
- * baseline, and the `fused-fp16` execution-backend hot path. All three
+ * FP16 backends: the `reference` oracle and the `flash` FlashDecoding
+ * baseline (the fused FP16 hot path lives in backends_fused.cc). Both
  * consume contiguous FP16 caches; `reference` additionally gathers paged
  * sequences, which makes it the slow-but-trustworthy serving oracle.
  */
@@ -9,7 +9,6 @@
 #include "attention/reference.h"
 #include "backend/registry.h"
 #include "common/logging.h"
-#include "exec/fused_attention.h"
 #include "kvcache/kv_cache.h"
 #include "kvcache/paged_cache.h"
 
@@ -120,50 +119,8 @@ class FlashBackend : public AttentionBackend
     }
 };
 
-/** Tile-fused FP16 hot path of the CPU execution backend. */
-class FusedFp16Backend : public AttentionBackend
-{
-  public:
-    const char* name() const override { return "fused-fp16"; }
-
-    BackendCapabilities capabilities() const override
-    {
-        BackendCapabilities caps;
-        caps.bindings = static_cast<unsigned>(Binding::Fp16Contiguous);
-        caps.cache_kinds = static_cast<unsigned>(CacheKind::Contiguous);
-        caps.quant_formats = static_cast<unsigned>(QuantFormat::Fp16);
-        caps.scenarios = kContiguousScenarios;
-        caps.fused_hot_path = true;
-        return caps;
-    }
-
-    DecodePlan plan(const attn::DecodeShape& shape) const override
-    {
-        DecodePlan p = AttentionBackend::plan(shape);
-        if (!p.supported)
-            return p;
-        p.kv_chunk = exec::kChunkTokens;
-        p.splits = (shape.seq_len + exec::kChunkTokens - 1) /
-                   exec::kChunkTokens;
-        p.chunking = "128-token chunks, partials merged in chunk order";
-        return p;
-    }
-
-    std::vector<Tensor<float>> decodeStep(
-        const DecodeBatch& batch) const override
-    {
-        requireBindings(batch);
-        return runBatch(batch, [&batch](const DecodeItem& it,
-                                        exec::ThreadPool* inner) {
-            return exec::fusedFp16Attention(*it.q, *it.fp16, batch.scale,
-                                            inner);
-        });
-    }
-};
-
 BITDEC_REGISTER_BACKEND(ReferenceBackend);
 BITDEC_REGISTER_BACKEND(FlashBackend);
-BITDEC_REGISTER_BACKEND(FusedFp16Backend);
 
 } // namespace
 

@@ -1,69 +1,19 @@
 /**
  * @file
- * Low-bit contiguous backends: `fused-packed` (BitDecoding's tile-fused
- * hot path over the induced-layout packed cache) and the two
- * dequant-then-compute baselines, `kivi` (separated kernels) and
- * `qserve` (CUDA-core fused GEMVs). The baselines consume the
- * pre-packing QuantizedMatrix pair; `fused-packed` consumes the packed
- * cache with its per-block dequant LUTs.
+ * Low-bit dequant-then-compute baselines: `kivi` (separated kernels) and
+ * `qserve` (CUDA-core fused GEMVs). Both consume the pre-packing
+ * QuantizedMatrix pair; BitDecoding's own `fused-packed` hot path over
+ * the packed cache lives in backends_fused.cc.
  */
 #include "attention/kivi_baseline.h"
 #include "attention/qserve_baseline.h"
 #include "backend/registry.h"
-#include "core/packing_kernel.h"
 #include "kvcache/kv_cache.h"
-#include "layout/tile.h"
 #include "quant/int_quant.h"
 
 namespace bitdec::backend {
 
 namespace {
-
-/** BitDecoding's fused packed-cache hot path. */
-class FusedPackedBackend : public AttentionBackend
-{
-  public:
-    const char* name() const override { return "fused-packed"; }
-
-    BackendCapabilities capabilities() const override
-    {
-        BackendCapabilities caps;
-        caps.bindings = static_cast<unsigned>(Binding::PackedLowBit);
-        caps.cache_kinds = static_cast<unsigned>(CacheKind::Contiguous);
-        caps.quant_formats = static_cast<unsigned>(QuantFormat::Int4) |
-                             static_cast<unsigned>(QuantFormat::Int2);
-        caps.scenarios = kContiguousScenarios;
-        caps.fused_hot_path = true;
-        return caps;
-    }
-
-    DecodePlan plan(const attn::DecodeShape& shape) const override
-    {
-        DecodePlan p = AttentionBackend::plan(shape);
-        if (!p.supported)
-            return p;
-        // Chunk = kChunkBlocks residual blocks of the default KC-4
-        // tiling (Eq. 1); caches packed with other configs scale Nr
-        // accordingly.
-        p.kv_chunk = core::kChunkBlocks *
-                     layout::residualBlockSize(layout::WarpTiling{}, 4);
-        p.splits = (shape.seq_len + p.kv_chunk - 1) / p.kv_chunk;
-        p.chunking = "4 packed blocks per partial + FP16 residual tail, "
-                     "partials merged in block order";
-        return p;
-    }
-
-    std::vector<Tensor<float>> decodeStep(
-        const DecodeBatch& batch) const override
-    {
-        requireBindings(batch);
-        return runBatch(batch, [&batch](const DecodeItem& it,
-                                        exec::ThreadPool* inner) {
-            return core::fusedPackedAttention(*it.q, *it.packed, batch.scale,
-                                              inner);
-        });
-    }
-};
 
 /** KIVI: dequantize-everything-then-dense-attention (five kernels). */
 class KiviBackend : public AttentionBackend
@@ -122,7 +72,6 @@ class QServeBackend : public AttentionBackend
     }
 };
 
-BITDEC_REGISTER_BACKEND(FusedPackedBackend);
 BITDEC_REGISTER_BACKEND(KiviBackend);
 BITDEC_REGISTER_BACKEND(QServeBackend);
 

@@ -10,17 +10,15 @@ namespace bitdec::backend {
 // static-library links that would otherwise drop them as unreferenced.
 int linkFp16Backends();
 int linkLowbitBackends();
-int linkPagedBackends();
 int linkMxBackends();
-int linkSimdBackends();
+int linkFusedBackends();
 
 BackendRegistry&
 BackendRegistry::instance()
 {
     static BackendRegistry registry;
     static const int anchors = linkFp16Backends() + linkLowbitBackends() +
-                               linkPagedBackends() + linkMxBackends() +
-                               linkSimdBackends();
+                               linkMxBackends() + linkFusedBackends();
     (void)anchors;
     return registry;
 }

@@ -8,7 +8,6 @@
 #include "attention/reference.h"
 #include "common/logging.h"
 #include "core/query_transform.h"
-#include "exec/dequant_plan.h"
 #include "exec/fused_attention.h"
 #include "gpusim/fragment.h"
 #include "quant/fast_dequant.h"
@@ -380,8 +379,9 @@ packingKernelAttention(const Tensor<Half>& q_tile,
 Tensor<float>
 fusedPackedAttention(const Tensor<Half>& q_tile,
                      const kv::PackedHeadCache& cache, float scale,
-                     exec::ThreadPool* pool)
+                     exec::ThreadPool* pool, exec::simd::Level level)
 {
+    const exec::simd::KernelTable& kt = exec::simd::requireKernels(level);
     const int d = cache.headDim();
     const int gq = static_cast<int>(q_tile.dim(0));
     BITDEC_ASSERT(gq >= 1 && gq <= 16, "query tile must fit one m16 tile");
@@ -392,92 +392,12 @@ fusedPackedAttention(const Tensor<Half>& q_tile,
 
     // Q converts once, in bulk.
     std::vector<float> qf(static_cast<std::size_t>(gq) * dd);
-    toFloat(q_tile.data(), qf.data(), qf.size());
+    kt.convert_rows(q_tile.data(), qf.size(), qf.data());
 
     const auto& k_blocks = cache.keyBlocks();
     const auto& v_blocks = cache.valueBlocks();
-    const int n_blocks = static_cast<int>(k_blocks.size());
-    const int n_chunks = (n_blocks + kChunkBlocks - 1) / kChunkBlocks;
-
-    std::vector<exec::SoftmaxPartial> parts(static_cast<std::size_t>(n_chunks));
-
-    exec::parallelFor(pool, static_cast<std::size_t>(n_chunks), [&](
-                                                                    std::size_t
-                                                                        ci) {
-        exec::SoftmaxPartial& st = parts[ci];
-        st.init(gq, d);
-
-        // Reusable scratch: one dequantized [Nr x d] tile each for K and V.
-        // Thread-local, grow-only — zero allocations in steady state.
-        thread_local std::vector<float> kd, vd;
-        const std::size_t tile = static_cast<std::size_t>(nr) * dd;
-        if (kd.size() < tile) {
-            kd.resize(tile);
-            vd.resize(tile);
-        }
-
-        const int b0 = static_cast<int>(ci) * kChunkBlocks;
-        const int b1 = std::min(n_blocks, b0 + kChunkBlocks);
-        for (int blk = b0; blk < b1; blk++) {
-            const kv::PackedBlock& kb = k_blocks[static_cast<std::size_t>(blk)];
-            const kv::PackedBlock& vb = v_blocks[static_cast<std::size_t>(blk)];
-            exec::dequantBlock(kb.units, cache.keyRoutes(), kb.dequant_lut,
-                               bits, kd.data());
-            exec::dequantBlock(vb.units, cache.valueRoutes(), vb.dequant_lut,
-                               bits, vd.data());
-            // P rounds through half precision exactly like the sAcc
-            // round trip (round_p = true).
-            exec::foldTile(qf.data(), gq, d, kd.data(), vd.data(), nr, scale,
-                           st, /*round_p=*/true);
-        }
-    });
-
-    // Deterministic reduction: merge chunk partials sequentially in chunk
-    // order (the split-KV log-sum-exp combine).
-    exec::SoftmaxPartial run = exec::mergePartials(parts, gq, d);
-
-    // FP16 residual tail, merged online — same arithmetic as the reference
-    // kernel's residual pass (plain float P, no half rounding).
-    const int res_len = cache.residualLength();
-    if (res_len > 0) {
-        const std::size_t live = static_cast<std::size_t>(res_len) * dd;
-        std::vector<float> krf(live), vrf(live);
-        toFloat(cache.residualKeys().data(), krf.data(), live);
-        toFloat(cache.residualValues().data(), vrf.data(), live);
-        exec::foldTile(qf.data(), gq, d, krf.data(), vrf.data(), res_len,
-                       scale, run);
-    }
-
-    return exec::finalizePartial(run, gq, d);
-}
-
-Tensor<float>
-fusedPackedAttentionSimd(const Tensor<Half>& q_tile,
-                         const kv::PackedHeadCache& cache, float scale,
-                         exec::simd::Level level, exec::ThreadPool* pool)
-{
-    namespace simd = exec::simd;
-    const simd::KernelTable* kt = simd::kernels(level);
-    if (kt == nullptr)
-        BITDEC_FATAL("SIMD level '", simd::toString(level),
-                     "' has no kernels on this host (detected CPU features: ",
-                     simd::describeCpuFeatures(), ")");
-
-    const int d = cache.headDim();
-    const int gq = static_cast<int>(q_tile.dim(0));
-    BITDEC_ASSERT(gq >= 1 && gq <= 16, "query tile must fit one m16 tile");
-    BITDEC_ASSERT(static_cast<int>(q_tile.dim(1)) == d, "query width mismatch");
-    const int nr = cache.residualBlockSize();
-    const int bits = cache.config().bits;
-    const std::size_t dd = static_cast<std::size_t>(d);
-
-    std::vector<float> qf(static_cast<std::size_t>(gq) * dd);
-    kt->convert_rows(q_tile.data(), qf.size(), qf.data());
-
-    const auto& k_blocks = cache.keyBlocks();
-    const auto& v_blocks = cache.valueBlocks();
-    const simd::LinearDequantPlan& kplan = cache.keyLinearPlan();
-    const simd::LinearDequantPlan& vplan = cache.valueLinearPlan();
+    const exec::simd::LinearDequantPlan& kplan = cache.keyLinearPlan();
+    const exec::simd::LinearDequantPlan& vplan = cache.valueLinearPlan();
     const int n_blocks = static_cast<int>(k_blocks.size());
     const int n_chunks = (n_blocks + kChunkBlocks - 1) / kChunkBlocks;
 
@@ -488,51 +408,47 @@ fusedPackedAttentionSimd(const Tensor<Half>& q_tile,
         exec::SoftmaxPartial& st = parts[ci];
         st.init(gq, d);
 
-        // Same scratch discipline as the scalar twin, but K dequantizes
-        // channel-major ([d x Nr], token stride nr) straight through the
-        // remapped linear plan — no transpose pass.
-        thread_local std::vector<float> kd, vd, s;
+        // Reusable scratch: one dequantized [Nr x d] tile each for K
+        // (channel-major, token stride nr) and V (token-major).
+        // Thread-local, grow-only — zero allocations in steady state.
+        thread_local std::vector<float> kd_buf, vd_buf, s_buf;
         const std::size_t tile = static_cast<std::size_t>(nr) * dd;
-        if (kd.size() < tile) {
-            kd.resize(tile);
-            vd.resize(tile);
-        }
-        if (s.size() < static_cast<std::size_t>(nr))
-            s.resize(static_cast<std::size_t>(nr));
+        float* kd = exec::alignedScratch(kd_buf, tile);
+        float* vd = exec::alignedScratch(vd_buf, tile);
+        float* s = exec::alignedScratch(s_buf, static_cast<std::size_t>(nr));
 
         const int b0 = static_cast<int>(ci) * kChunkBlocks;
         const int b1 = std::min(n_blocks, b0 + kChunkBlocks);
         for (int blk = b0; blk < b1; blk++) {
             const kv::PackedBlock& kb = k_blocks[static_cast<std::size_t>(blk)];
             const kv::PackedBlock& vb = v_blocks[static_cast<std::size_t>(blk)];
-            kt->dequant_linear(kb.units.data(), kplan.unit.data(),
-                               kplan.shift.data(), kplan.param.data(),
-                               kplan.size(), bits, kb.dequant_lut_f32.data(),
-                               kd.data());
-            kt->dequant_linear(vb.units.data(), vplan.unit.data(),
-                               vplan.shift.data(), vplan.param.data(),
-                               vplan.size(), bits, vb.dequant_lut_f32.data(),
-                               vd.data());
-            kt->fold_tile(qf.data(), gq, d, kd.data(), /*t_stride=*/nr,
-                          vd.data(), nr, scale, st.m.data(), st.l.data(),
-                          st.acc.data(), s.data(), /*round_p=*/true);
+            kt.dequant_linear(kb.units.data(), kplan.unit.data(),
+                              kplan.shift.data(), kplan.param.data(),
+                              kplan.size(), bits, kb.dequant_lut_f32.data(),
+                              kd);
+            kt.dequant_linear(vb.units.data(), vplan.unit.data(),
+                              vplan.shift.data(), vplan.param.data(),
+                              vplan.size(), bits, vb.dequant_lut_f32.data(),
+                              vd);
+            // P rounds through half precision exactly like the sAcc
+            // round trip (round_p = true).
+            kt.fold_tile(qf.data(), gq, d, kd, /*t_stride=*/nr, vd, nr, scale,
+                         st.m.data(), st.l.data(), st.acc.data(), s,
+                         /*round_p=*/true);
         }
     });
 
+    // Deterministic reduction: merge chunk partials sequentially in chunk
+    // order (the split-KV log-sum-exp combine).
     exec::SoftmaxPartial run = exec::mergePartials(parts, gq, d);
 
+    // FP16 residual tail, merged online — same arithmetic as the reference
+    // kernel's residual pass (plain float P, no half rounding).
     const int res_len = cache.residualLength();
-    if (res_len > 0) {
-        const std::size_t live = static_cast<std::size_t>(res_len) * dd;
-        std::vector<float> krT(live), vrf(live),
-            rs(static_cast<std::size_t>(res_len));
-        kt->convert_transpose(cache.residualKeys().data(), res_len, d,
-                              krT.data(), res_len);
-        kt->convert_rows(cache.residualValues().data(), live, vrf.data());
-        kt->fold_tile(qf.data(), gq, d, krT.data(), res_len, vrf.data(),
-                      res_len, scale, run.m.data(), run.l.data(),
-                      run.acc.data(), rs.data(), /*round_p=*/false);
-    }
+    if (res_len > 0)
+        exec::foldHalfTile(kt, qf.data(), gq, d, cache.residualKeys().data(),
+                           cache.residualValues().data(), res_len, scale,
+                           run);
 
     return exec::finalizePartial(run, gq, d);
 }

@@ -73,15 +73,16 @@ PackingKernelResult packingKernelAttention(const Tensor<Half>& q_tile,
  * packingKernelAttention — per-block magic-FMA dequantization, P rounded
  * through half precision (the sAcc round trip), online-softmax merges,
  * the FP16 residual tail — but executes it as a tile-fused pipeline:
- * each packed block is dequantized word-level into a reusable thread-local
- * [Nr x d] scratch tile via the cache's dequant routing and consumed by
- * QK/softmax/PV immediately, so the full FP16 cache is never materialized
- * and nothing is allocated per tile.
+ * each packed block is dequantized into reusable thread-local scratch
+ * tiles through the cache's linear plans — K straight into a
+ * channel-major [d x Nr] tile (the lane-per-token QK layout), V
+ * token-major — and consumed by QK/softmax/PV immediately, so the full
+ * FP16 cache is never materialized and nothing is allocated per tile.
  *
  * KV blocks are processed in fixed-size chunks whose partial softmax
  * states merge sequentially in chunk order, so the output is bitwise
  * identical for any thread count (and for pool == nullptr, which runs
- * the chunks inline).
+ * the chunks inline) and for every @p level.
  *
  * Matches packingKernelAttention (cooperative softmax) to ~1e-3 max-abs
  * (differences: fp32 accumulation order and the split-KV merge).
@@ -90,28 +91,14 @@ PackingKernelResult packingKernelAttention(const Tensor<Half>& q_tile,
  * @param cache  packed + residual KV of this head
  * @param scale  logit scale
  * @param pool   optional pool to spread KV chunks over; null = serial
+ * @param level  kernel table to run the tiles on; fatal when this host
+ *               cannot run it (backends gate availability upstream)
  * @return       [gq x d] output (no padding rows)
  */
-Tensor<float> fusedPackedAttention(const Tensor<Half>& q_tile,
-                                   const kv::PackedHeadCache& cache,
-                                   float scale,
-                                   exec::ThreadPool* pool = nullptr);
-
-/**
- * SIMD twin of fusedPackedAttention: identical chunking (kChunkBlocks
- * blocks per partial + FP16 residual tail) and sequential merges, so the
- * output is bitwise identical to the scalar path for any thread count.
- * Packed blocks dequantize through the cache's linear plans — K directly
- * into a channel-major scratch tile (the vector QK layout), V token-major
- * — via gathered LUT lookups instead of route-table walks.
- *
- * @param level SIMD level whose kernel table to use; fatal when this host
- *              cannot run it (backends gate availability upstream)
- */
-Tensor<float> fusedPackedAttentionSimd(const Tensor<Half>& q_tile,
-                                       const kv::PackedHeadCache& cache,
-                                       float scale, exec::simd::Level level,
-                                       exec::ThreadPool* pool = nullptr);
+Tensor<float> fusedPackedAttention(
+    const Tensor<Half>& q_tile, const kv::PackedHeadCache& cache,
+    float scale, exec::ThreadPool* pool = nullptr,
+    exec::simd::Level level = exec::simd::Level::Scalar);
 
 } // namespace bitdec::core
 

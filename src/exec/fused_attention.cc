@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -14,6 +15,18 @@ namespace {
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
 } // namespace
+
+float*
+alignedScratch(std::vector<float>& buf, std::size_t n)
+{
+    constexpr std::size_t kLineFloats = 64 / sizeof(float);
+    if (buf.size() < n + kLineFloats)
+        buf.resize(n + kLineFloats);
+    const std::size_t mis =
+        (reinterpret_cast<std::uintptr_t>(buf.data()) / sizeof(float)) %
+        kLineFloats;
+    return buf.data() + (mis == 0 ? 0 : kLineFloats - mis);
+}
 
 void
 foldTile(const float* qf, int gq, int d, const float* kf, const float* vf,
@@ -105,10 +118,29 @@ finalizePartial(const SoftmaxPartial& st, int gq, int d)
     return out;
 }
 
+void
+foldHalfTile(const simd::KernelTable& kt, const float* qf, int gq, int d,
+             const Half* k, const Half* v, int tokens, float scale,
+             SoftmaxPartial& st)
+{
+    thread_local std::vector<float> kT_buf, vf_buf, s_buf;
+    const std::size_t n =
+        static_cast<std::size_t>(tokens) * static_cast<std::size_t>(d);
+    float* kT = alignedScratch(kT_buf, n);
+    float* vf = alignedScratch(vf_buf, n);
+    float* s = alignedScratch(s_buf, static_cast<std::size_t>(tokens));
+    // Both conversions are bit-exact Half widenings.
+    kt.convert_transpose(k, tokens, d, kT, tokens);
+    kt.convert_rows(v, n, vf);
+    kt.fold_tile(qf, gq, d, kT, tokens, vf, tokens, scale, st.m.data(),
+                 st.l.data(), st.acc.data(), s, /*round_p=*/false);
+}
+
 Tensor<float>
 fusedPagedAttention(const Tensor<Half>& q, const kv::PagedHeadCache& cache,
-                    int seq, float scale, ThreadPool* pool)
+                    int seq, float scale, ThreadPool* pool, simd::Level level)
 {
+    const simd::KernelTable& kt = simd::requireKernels(level);
     const int d = cache.headDim();
     const int gq = static_cast<int>(q.dim(0));
     BITDEC_ASSERT(static_cast<int>(q.dim(1)) == d, "query width mismatch");
@@ -116,31 +148,21 @@ fusedPagedAttention(const Tensor<Half>& q, const kv::PagedHeadCache& cache,
     const int ps = cache.pageSize();
     const std::vector<int>& pages = cache.pageTable(seq);
     const int n_chunks = cache.pagesFor(len); // one chunk per page
-    const std::size_t dd = static_cast<std::size_t>(d);
 
-    std::vector<float> qf(static_cast<std::size_t>(gq) * dd);
-    toFloat(q.data(), qf.data(), qf.size());
+    std::vector<float> qf(static_cast<std::size_t>(gq) *
+                          static_cast<std::size_t>(d));
+    kt.convert_rows(q.data(), qf.size(), qf.data());
 
     std::vector<SoftmaxPartial> parts(static_cast<std::size_t>(n_chunks));
     parallelFor(pool, static_cast<std::size_t>(n_chunks), [&](std::size_t ci) {
         SoftmaxPartial& st = parts[ci];
         st.init(gq, d);
-
         const int page = pages[ci];
         const int tokens =
             std::min(ps, len - static_cast<int>(ci) * ps); // last page partial
-        thread_local std::vector<float> kf, vf;
-        const std::size_t need = static_cast<std::size_t>(ps) * dd;
-        if (kf.size() < need) {
-            kf.resize(need);
-            vf.resize(need);
-        }
-        // Bulk-convert the live rows of the page, in place in the pool.
-        toFloat(cache.pageKeyData(page), kf.data(),
-                static_cast<std::size_t>(tokens) * dd);
-        toFloat(cache.pageValueData(page), vf.data(),
-                static_cast<std::size_t>(tokens) * dd);
-        foldTile(qf.data(), gq, d, kf.data(), vf.data(), tokens, scale, st);
+        // The live rows of the page convert in place in the pool.
+        foldHalfTile(kt, qf.data(), gq, d, cache.pageKeyData(page),
+                     cache.pageValueData(page), tokens, scale, st);
     });
 
     return finalizePartial(mergePartials(parts, gq, d), gq, d);
@@ -148,8 +170,9 @@ fusedPagedAttention(const Tensor<Half>& q, const kv::PagedHeadCache& cache,
 
 Tensor<float>
 fusedFp16Attention(const Tensor<Half>& q, const kv::Fp16HeadCache& cache,
-                   float scale, ThreadPool* pool)
+                   float scale, ThreadPool* pool, simd::Level level)
 {
+    const simd::KernelTable& kt = simd::requireKernels(level);
     const int d = cache.headDim();
     const int gq = static_cast<int>(q.dim(0));
     BITDEC_ASSERT(static_cast<int>(q.dim(1)) == d, "query width mismatch");
@@ -158,27 +181,17 @@ fusedFp16Attention(const Tensor<Half>& q, const kv::Fp16HeadCache& cache,
     const std::size_t dd = static_cast<std::size_t>(d);
 
     std::vector<float> qf(static_cast<std::size_t>(gq) * dd);
-    toFloat(q.data(), qf.data(), qf.size());
+    kt.convert_rows(q.data(), qf.size(), qf.data());
 
     std::vector<SoftmaxPartial> parts(static_cast<std::size_t>(n_chunks));
     parallelFor(pool, static_cast<std::size_t>(n_chunks), [&](std::size_t ci) {
         SoftmaxPartial& st = parts[ci];
         st.init(gq, d);
-
         const int t0 = static_cast<int>(ci) * kChunkTokens;
-        const int tokens = std::min(kChunkTokens, len - t0);
-        thread_local std::vector<float> kf, vf;
-        const std::size_t need =
-            static_cast<std::size_t>(kChunkTokens) * dd;
-        if (kf.size() < need) {
-            kf.resize(need);
-            vf.resize(need);
-        }
-        toFloat(cache.keys().data() + static_cast<std::size_t>(t0) * dd,
-                kf.data(), static_cast<std::size_t>(tokens) * dd);
-        toFloat(cache.values().data() + static_cast<std::size_t>(t0) * dd,
-                vf.data(), static_cast<std::size_t>(tokens) * dd);
-        foldTile(qf.data(), gq, d, kf.data(), vf.data(), tokens, scale, st);
+        const std::size_t off = static_cast<std::size_t>(t0) * dd;
+        foldHalfTile(kt, qf.data(), gq, d, cache.keys().data() + off,
+                     cache.values().data() + off,
+                     std::min(kChunkTokens, len - t0), scale, st);
     });
 
     return finalizePartial(mergePartials(parts, gq, d), gq, d);

@@ -1,20 +1,21 @@
 /**
  * @file
- * Destination-ordered ("linear") dequantization plans for the SIMD hot
- * path.
+ * Destination-ordered ("linear") dequantization plans for the fused
+ * packed path.
  *
- * The scalar fused path walks a packed block in unit-slot order and
- * scatters codes to their scratch destinations through a CodeRoute table
- * (exec/dequant_plan.h). That order is scatter-shaped: consecutive codes
- * land at unrelated scratch offsets, which defeats vector stores. A
- * LinearDequantPlan is the same routing inverted: for every scratch
- * destination, in destination order, it records which packed word the
- * code lives in, the in-word bit shift that extracts it, and its
- * (pre-shifted) parameter-group LUT base. The SIMD kernels then walk the
- * scratch contiguously — gather the words, variable-shift/mask the
- * codes, gather the dequantized values from a float LUT, store a full
- * vector — and produce bit-identical bytes to dequantBlock, since code
- * extraction and table lookup are integer-exact under any order.
+ * The reference dequant (exec::dequantBlock) walks a packed block in
+ * unit-slot order and scatters codes to their scratch destinations
+ * through a CodeRoute table (exec/dequant_plan.h). That order is
+ * scatter-shaped: consecutive codes land at unrelated scratch offsets,
+ * which defeats vector stores. A LinearDequantPlan is the same routing
+ * inverted: for every scratch destination, in destination order, it
+ * records which packed word the code lives in, the in-word bit shift
+ * that extracts it, and its (pre-shifted) parameter-group LUT base. The
+ * kernel tables' dequant then walks the scratch contiguously — gather
+ * the words, variable-shift/mask the codes, gather the dequantized
+ * values from a float LUT, store a full vector — and produces
+ * bit-identical bytes to dequantBlock, since code extraction and table
+ * lookup are integer-exact under any order.
  *
  * A destination remap hook lets the key plan target a channel-major
  * [d x Nr] scratch (what the vectorized QK loop wants) while reusing the

@@ -186,11 +186,22 @@ const KernelTable*
 kernels(Level l)
 {
     switch (l) {
-    case Level::Scalar: return nullptr;
+    case Level::Scalar: return scalarKernels();
     case Level::Avx2: return avx2Kernels();
     case Level::Avx512: return avx512Kernels();
     }
     return nullptr;
+}
+
+const KernelTable&
+requireKernels(Level l)
+{
+    const KernelTable* kt = levelSupported(l) ? kernels(l) : nullptr;
+    if (kt == nullptr)
+        BITDEC_FATAL("SIMD level '", toString(l),
+                     "' has no kernels on this host (detected CPU "
+                     "features: ", describeCpuFeatures(), ")");
+    return *kt;
 }
 
 } // namespace bitdec::exec::simd

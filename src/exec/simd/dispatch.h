@@ -8,7 +8,7 @@
  * register state (XCR0), and the matching kernel TU was compiled in.
  * `BITDEC_SIMD` caps the level (scalar < avx2 < avx512); naming a level
  * this host cannot run is a fatal error that lists the detected CPU
- * features — never a silent fallback. The SIMD sibling backends
+ * features — never a silent fallback. The fused backends' ISA levels
  * (fused-*-avx2 / -avx512) gate their availability on levelEnabled(), so
  * listings hide and resolution rejects what the host cannot execute.
  */
@@ -84,9 +84,15 @@ Level resolveSimdOverride(const char* value, Level max_supported,
 /** Why levelEnabled(l) is false; empty when it is true. */
 std::string unavailableReason(Level l);
 
-/** The kernel table of @p l; null for Scalar or a level not compiled
- *  in. Callers on the hot path resolve once per decode, not per tile. */
+/** The kernel table of @p l; null for a level not compiled in (never
+ *  for Scalar). Callers on the hot path resolve once per decode, not
+ *  per tile. */
 const KernelTable* kernels(Level l);
+
+/** kernels(l), fatal (never a silent fallback) when this host cannot
+ *  run @p l — backends gate availability upstream, so hitting this means
+ *  a caller bypassed the registry. */
+const KernelTable& requireKernels(Level l);
 
 } // namespace bitdec::exec::simd
 

@@ -1,24 +1,28 @@
 /**
  * @file
- * Per-ISA kernel tables of the SIMD hot path.
+ * Per-level kernel tables of the fused hot path.
  *
- * Each ISA translation unit (kernels_avx2.cc, kernels_avx512.cc) is
- * compiled with its own -m flags and exports one KernelTable of plain
- * function pointers; dispatch.cc maps a runtime-detected Level to a
- * table. The table is deliberately POD-only — raw pointers and sizes, no
- * std containers — so the ISA TUs never instantiate common template code
- * that the linker could fold across differently-flagged TUs (the classic
- * way an AVX-512-encoded std::vector helper ends up running on an AVX2
- * machine).
+ * Every Level has one KernelTable of plain function pointers, exported
+ * by one translation unit: kernels_scalar.cc (portable, 1 lane),
+ * kernels_avx2.cc and kernels_avx512.cc (each compiled with its own -m
+ * flags). dispatch.cc maps a runtime Level to its table, and each fused
+ * driver (exec::fusedPagedAttention, exec::fusedFp16Attention,
+ * core::fusedPackedAttention) runs its per-tile loops through the table
+ * of the level it is given. The table is deliberately POD-only — raw
+ * pointers and sizes, no std containers — so the ISA TUs never
+ * instantiate common template code that the linker could fold across
+ * differently-flagged TUs (the classic way an AVX-512-encoded
+ * std::vector helper ends up running on an AVX2 machine).
  *
- * Determinism contract (what makes a SIMD backend digest-identical to
- * its scalar twin): every kernel replicates the scalar arithmetic order
- * per output element. QK vectorizes across tokens (one lane per token,
- * channels accumulated sequentially, separate mul+add — never FMA; the
- * TUs also compile with -ffp-contract=off), PV vectorizes across
- * channels (tokens accumulated sequentially per channel), max/exp/
- * half-rounding stay scalar per token, and dequant/conversion are
- * integer-exact table lookups. See docs/BACKENDS.md.
+ * Determinism contract (what makes every level digest-identical): all
+ * tables instantiate the same width-generic kernels (kernels_generic.h),
+ * which replicate exec::foldTile's arithmetic order per output element.
+ * QK vectorizes across tokens (one lane per token, channels accumulated
+ * sequentially, separate mul+add — never FMA; every table TU compiles
+ * with -ffp-contract=off), PV vectorizes across channels (tokens
+ * accumulated sequentially per channel), max/exp/half-rounding stay
+ * scalar per token, and dequant/conversion are integer-exact table
+ * lookups. See docs/BACKENDS.md.
  */
 #ifndef BITDEC_EXEC_SIMD_KERNEL_TABLE_H
 #define BITDEC_EXEC_SIMD_KERNEL_TABLE_H
@@ -45,8 +49,8 @@ struct KernelTable
                               int t_stride);
 
     /**
-     * One K/V tile folded into a split-softmax partial state — the SIMD
-     * twin of exec::foldTile, bit-identical to it by construction.
+     * One K/V tile folded into a split-softmax partial state —
+     * exec::foldTile over a channel-major K, bit-identical to it.
      *
      * @param kT  channel-major float keys, [d x t_stride]
      * @param vf  token-major float values, [tokens x d]
@@ -68,6 +72,9 @@ struct KernelTable
                            const std::uint32_t* param_of, std::size_t n,
                            int bits, const float* flut, float* out);
 };
+
+/** The portable table; always present. */
+const KernelTable* scalarKernels();
 
 /** The AVX2 (+F16C) table; null when not compiled for this target. */
 const KernelTable* avx2Kernels();

@@ -9,6 +9,7 @@
 
 #if defined(__AVX2__) && defined(__F16C__)
 
+#include "exec/simd/kernels_generic.h"
 #include "exec/simd/kernels_impl.h"
 
 namespace bitdec::exec::simd {

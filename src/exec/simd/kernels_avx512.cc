@@ -12,6 +12,7 @@
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__) && \
     defined(__AVX512VL__) && defined(__F16C__)
 
+#include "exec/simd/kernels_generic.h"
 #include "exec/simd/kernels_impl.h"
 
 namespace bitdec::exec::simd {

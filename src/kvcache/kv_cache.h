@@ -73,13 +73,14 @@ struct PackedBlock
      * magic-FMA arithmetic (quant::dequantMagicValue). Values are stored as
      * Half — lossless, since magic-FMA results are Half-rounded by
      * construction — so the table stays at half the size of an FP16 cache;
-     * the fused path widens through the global Half LUT at use. Not counted
+     * exec::dequantBlock (the token-major reference dequant) reads it
+     * directly, the fused path through dequant_lut_f32. Not counted
      * in deviceBytes() — the device dequantizes in registers; this is the
      * CPU backend's way of making per-element dequant a pair of loads.
      */
     std::vector<Half> dequant_lut;
 
-    /** Widened (float) mirror of dequant_lut for the SIMD dequant kernel,
+    /** Widened (float) mirror of dequant_lut for the fused dequant kernel,
      *  whose gathered lookup wants 32-bit lanes. Same indexing
      *  ((group << bits) | code); values bit-identical to widening
      *  dequant_lut at use. */
@@ -164,7 +165,7 @@ class PackedHeadCache
     }
 
     /**
-     * Dest-ordered (SoA) inversion of keyRoutes() for the SIMD dequant
+     * Dest-ordered (SoA) inversion of keyRoutes() for the fused dequant
      * kernel, remapped to a channel-major [d x Nr] scratch tile — the
      * layout the vector QK loop reads, so packed keys dequantize straight
      * into it with no transpose pass.
@@ -175,7 +176,7 @@ class PackedHeadCache
         return k_linear_;
     }
 
-    /** SoA inversion of valueRoutes() (token-major [Nr x d], as scalar). */
+    /** SoA inversion of valueRoutes() (token-major [Nr x d]). */
     const exec::simd::LinearDequantPlan&
     valueLinearPlan() const
     {

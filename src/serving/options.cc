@@ -1,29 +1,31 @@
 #include "serving/options.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "backend/registry.h"
 #include "common/logging.h"
 
 namespace bitdec::serving {
 
-namespace {
-
-/** Strictly-parsed non-negative integer value of `--flag=<n>`. */
-long
-intValue(const char* flag, const char* text)
+int
+intValue(const char* flag, const char* text, int min_value)
 {
     char* end = nullptr;
+    errno = 0;
     const long v = std::strtol(text, &end, 0);
-    if (end == text || *end != '\0' || v < 0)
+    if (end == text || *end != '\0' || errno == ERANGE || v < 0 ||
+        v > std::numeric_limits<int>::max())
         BITDEC_FATAL(flag, "= needs a non-negative integer, got '", text,
                      "'");
-    return v;
+    if (v < min_value)
+        BITDEC_FATAL(flag, "= needs at least ", min_value, ", got '", text,
+                     "'");
+    return static_cast<int>(v);
 }
-
-} // namespace
 
 ServingOptions
 ServingOptions::parse(int argc, char** argv)
@@ -65,17 +67,14 @@ ServingOptions::parse(int argc, char** argv)
             BITDEC_FATAL("--fault-seed takes its value with '=', e.g. "
                          "--fault-seed=1337");
         } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-            o.shards = static_cast<int>(intValue("--shards", arg + 9));
-            if (o.shards < 1)
-                BITDEC_FATAL("--shards= needs at least 1, got '", arg + 9,
-                             "'");
+            o.shards = intValue("--shards", arg + 9, 1);
         } else if (std::strcmp(arg, "--shards") == 0) {
             BITDEC_FATAL("--shards takes its value with '=', e.g. "
                          "--shards=4");
         } else if (std::strcmp(arg, "--smoke") == 0) {
             o.smoke = true;
         } else if (std::strncmp(arg, "--port=", 7) == 0) {
-            o.port = static_cast<int>(intValue("--port", arg + 7));
+            o.port = intValue("--port", arg + 7);
             if (o.port > 65535)
                 BITDEC_FATAL("--port= must be <= 65535, got '", arg + 7,
                              "'");
@@ -84,11 +83,7 @@ ServingOptions::parse(int argc, char** argv)
             BITDEC_FATAL("--port takes its value with '=', e.g. "
                          "--port=9178");
         } else if (std::strncmp(arg, "--hot-pool-pages=", 17) == 0) {
-            o.hot_pool_pages =
-                static_cast<int>(intValue("--hot-pool-pages", arg + 17));
-            if (o.hot_pool_pages <= 0)
-                BITDEC_FATAL("--hot-pool-pages= must be positive, got '",
-                             arg + 17, "'");
+            o.hot_pool_pages = intValue("--hot-pool-pages", arg + 17, 1);
         } else if (std::strncmp(arg, "--tier=", 7) == 0) {
             o.tier = arg + 7;
             if (o.tier != "host" && o.tier != "host,disk" &&

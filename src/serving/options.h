@@ -39,6 +39,15 @@ class AttentionBackend;
 
 namespace bitdec::serving {
 
+/**
+ * Strictly parses the value of `--flag=<n>`: the whole of @p text must
+ * be an integer (strtol base 0: decimal, 0x hex, leading-0 octal) in
+ * [@p min_value, INT_MAX]. Garbage, negative values and overflow die
+ * naming @p flag, so a typo never becomes a silent 0. Shared by every
+ * tool's numeric flags.
+ */
+int intValue(const char* flag, const char* text, int min_value = 0);
+
 /** Parsed command-line options shared by the serving binaries. */
 struct ServingOptions
 {

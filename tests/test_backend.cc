@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <utility>
 
 #include "attention/reference.h"
 #include "backend/harness.h"
@@ -242,6 +244,36 @@ TEST(BackendParity, AllBackendsMatchReferenceAt1e3)
         swept++;
     }
     EXPECT_GE(swept, 7); // at minimum the scalar builtins
+}
+
+/**
+ * Golden digests of the base fused backends on the 288-token, page-13
+ * fixture. The level-parity tests compare the kernel tables with each
+ * other, so a bug in the shared driver would pass them; these constants
+ * pin the scalar outputs themselves. Any change to a fused driver's
+ * arithmetic, chunking or merge order must show up here.
+ */
+TEST(BackendParity, FusedDigestsMatchGoldenValues)
+{
+    auto& reg = BackendRegistry::instance();
+    FixtureConfig fc;
+    fc.context = 288;
+    fc.head_dim = 32;
+    fc.gq = 4;
+    fc.page_size = 13;
+    const std::pair<const char*, std::uint64_t> golden[] = {
+        {"fused-fp16", 0x8a116f6d92938f59ull},
+        {"fused-packed", 0xd9d308ac8a59190full},
+        {"fused-paged", 0x5bf8306f89a2e26dull},
+    };
+    for (const auto& [name, want] : golden) {
+        const AttentionBackend& be = reg.resolve(name);
+        const DecodeFixture fx(be, fc);
+        DecodeBatch b = fx.batch();
+        b.scale = 0.125f;
+        const std::uint64_t got = be.digest(b);
+        EXPECT_EQ(got, want) << name << " digest 0x" << std::hex << got;
+    }
 }
 
 /** The scalar twin of a SIMD sibling name; empty for non-siblings. */

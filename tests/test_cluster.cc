@@ -436,5 +436,30 @@ TEST(ServingOptions, MalformedValuesDieNamingTheFlag)
     EXPECT_DEATH(parseArgs({"--backend"}), "takes its value with '='");
 }
 
+/** The tools' numeric flags (bitdec_client --clients/--requests/...,
+ *  bitdec_server --max-inflight/--write-buffer-kb) parse through
+ *  intValue: garbage and negative values must die naming the flag,
+ *  never become a silent 0 (a client count of 0 would divide by zero
+ *  when the client shards its trace). */
+TEST(ServingOptions, IntValueRejectsGarbageAndNegativeInput)
+{
+    EXPECT_EQ(serving::intValue("--clients", "8", 1), 8);
+    EXPECT_EQ(serving::intValue("--write-buffer-kb", "0"), 0);
+    EXPECT_DEATH(serving::intValue("--clients", "abc", 1),
+                 "--clients= needs a non-negative integer, got 'abc'");
+    EXPECT_DEATH(serving::intValue("--clients", "0", 1),
+                 "--clients= needs at least 1, got '0'");
+    EXPECT_DEATH(serving::intValue("--max-inflight", "abc", 1),
+                 "--max-inflight= needs a non-negative integer");
+    EXPECT_DEATH(serving::intValue("--max-inflight", "-4", 1),
+                 "--max-inflight= needs a non-negative integer, got '-4'");
+    EXPECT_DEATH(serving::intValue("--requests", "12x"),
+                 "--requests= needs a non-negative integer");
+    EXPECT_DEATH(serving::intValue("--slow-ms", ""),
+                 "--slow-ms= needs a non-negative integer");
+    EXPECT_DEATH(serving::intValue("--cancel-after-tokens", "99999999999"),
+                 "--cancel-after-tokens= needs a non-negative integer");
+}
+
 } // namespace
 } // namespace bitdec

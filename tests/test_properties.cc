@@ -18,6 +18,7 @@
 #include "core/bitdecoding.h"
 #include "core/residual_kernel.h"
 #include "exec/dequant_plan.h"
+#include "exec/fused_attention.h"
 #include "exec/simd/dispatch.h"
 #include "gpusim/arch.h"
 #include "kvcache/kv_cache.h"
@@ -340,12 +341,13 @@ TEST(ModelProperties, EveryModelRunsEverySystemAt4k)
 
 using exec::simd::Level;
 
-/** Supported SIMD kernel tables of this host, with their level names. */
+/** Supported kernel tables of this host (scalar always), with their
+ *  level names. */
 std::vector<std::pair<const exec::simd::KernelTable*, const char*>>
 supportedKernelTables()
 {
     std::vector<std::pair<const exec::simd::KernelTable*, const char*>> out;
-    for (Level l : {Level::Avx2, Level::Avx512})
+    for (Level l : {Level::Scalar, Level::Avx2, Level::Avx512})
         if (exec::simd::levelSupported(l))
             out.emplace_back(exec::simd::kernels(l), exec::simd::toString(l));
     return out;
@@ -368,9 +370,6 @@ TEST(SimdProperties, ConvertRowsWidensEveryHalfPatternExactly)
     // does. NaNs compare as NaN-ness (F16C may quiet a signaling payload
     // differently); no NaN ever reaches the hot path from real caches.
     const auto tables = supportedKernelTables();
-    if (tables.empty())
-        GTEST_SKIP() << "host has no SIMD level: "
-                     << exec::simd::describeCpuFeatures();
     std::vector<Half> src(65536);
     for (std::uint32_t i = 0; i < 65536; i++)
         src[i] = Half::fromBits(static_cast<std::uint16_t>(i));
@@ -395,8 +394,6 @@ TEST(SimdProperties, ConvertTransposeMatchesLutAtOddShapes)
     // The 8x8-block transpose must stay exact across both tail axes:
     // tokens % 8 != 0 and d % 8 != 0, down to a single token.
     const auto tables = supportedKernelTables();
-    if (tables.empty())
-        GTEST_SKIP();
     Rng rng(4242);
     for (const auto& [kt, name] : tables) {
         for (const auto [tokens, d] : {std::pair{1, 37}, std::pair{13, 24},
@@ -423,9 +420,6 @@ TEST(SimdProperties, LinearDequantBitExactUnderExtremeHalves)
     // scalar dequant bit-for-bit, including blocks quantized from
     // denormal and near-max half content (extreme scales/zeros stress
     // the LUT corners). K additionally checks the channel-major remap.
-    const auto tables = supportedKernelTables();
-    if (tables.empty())
-        GTEST_SKIP();
     for (int bits : {4, 2}) {
         quant::QuantConfig qc;
         qc.bits = bits;
@@ -487,6 +481,67 @@ TEST(SimdProperties, LinearDequantBitExactUnderExtremeHalves)
                         << name << " V bits=" << bits << " t=" << t
                         << " c=" << c;
                 }
+        }
+    }
+}
+
+TEST(SimdProperties, FoldTileMatchesTokenMajorOracleBitwise)
+{
+    // Every level's fold_tile must reproduce exec::foldTile bit for bit —
+    // m, l and acc — at shapes off every vector grid (tokens not a
+    // multiple of 4 x W, d not a multiple of W), with and without the
+    // packed path's half rounding of P. Two tiles fold in sequence so the
+    // second exercises the running-max rescale of a non-empty state.
+    const int gq = 3;
+    const float scale = 0.3f;
+    for (const int tokens : {1, 13, 64, 67}) {
+        for (const int d : {4, 24, 37, 128}) {
+            for (const bool round_p : {false, true}) {
+                Rng rng(static_cast<std::uint64_t>(tokens * 1000 + d));
+                const std::size_t n = static_cast<std::size_t>(tokens) * d;
+                std::vector<float> qf(static_cast<std::size_t>(gq) * d);
+                for (float& x : qf)
+                    x = rng.normal();
+                std::vector<float> k[2], v[2], kT[2];
+                for (int i = 0; i < 2; i++) {
+                    k[i].resize(n);
+                    v[i].resize(n);
+                    kT[i].resize(n);
+                    for (std::size_t e = 0; e < n; e++) {
+                        k[i][e] = rng.normal();
+                        v[i][e] = rng.normal();
+                    }
+                    for (int t = 0; t < tokens; t++)
+                        for (int c = 0; c < d; c++)
+                            kT[i][static_cast<std::size_t>(c) * tokens + t] =
+                                k[i][static_cast<std::size_t>(t) * d + c];
+                }
+                exec::SoftmaxPartial want;
+                want.init(gq, d);
+                for (int i = 0; i < 2; i++)
+                    exec::foldTile(qf.data(), gq, d, k[i].data(), v[i].data(),
+                                   tokens, scale, want, round_p);
+                for (const auto& [kt, name] : supportedKernelTables()) {
+                    exec::SoftmaxPartial got;
+                    got.init(gq, d);
+                    std::vector<float> s(static_cast<std::size_t>(tokens));
+                    for (int i = 0; i < 2; i++)
+                        kt->fold_tile(qf.data(), gq, d, kT[i].data(), tokens,
+                                      v[i].data(), tokens, scale,
+                                      got.m.data(), got.l.data(),
+                                      got.acc.data(), s.data(), round_p);
+                    for (int r = 0; r < gq; r++) {
+                        ASSERT_TRUE(sameBits(got.m[r], want.m[r]))
+                            << name << " tokens=" << tokens << " d=" << d;
+                        ASSERT_TRUE(sameBits(got.l[r], want.l[r]))
+                            << name << " tokens=" << tokens << " d=" << d;
+                    }
+                    for (std::size_t e = 0; e < got.acc.size(); e++)
+                        ASSERT_TRUE(sameBits(got.acc[e], want.acc[e]))
+                            << name << " tokens=" << tokens << " d=" << d
+                            << " round_p=" << round_p << " elem=" << e;
+                }
+            }
         }
     }
 }

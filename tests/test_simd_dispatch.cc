@@ -61,13 +61,27 @@ TEST(SimdDispatch, SupportedLevelsAreMonotone)
 
 TEST(SimdDispatch, KernelTablesMatchSupport)
 {
-    // Scalar has no table by design; a supported SIMD level must have
-    // one (support includes "compiled in").
-    EXPECT_EQ(exec::simd::kernels(Level::Scalar), nullptr);
-    if (exec::simd::levelSupported(Level::Avx2))
-        EXPECT_NE(exec::simd::kernels(Level::Avx2), nullptr);
-    if (exec::simd::levelSupported(Level::Avx512))
-        EXPECT_NE(exec::simd::kernels(Level::Avx512), nullptr);
+    // Scalar is a table level like any other, supported on every build;
+    // a supported level must have a table (support includes "compiled
+    // in"), and requireKernels hands out that same table.
+    for (Level l : {Level::Scalar, Level::Avx2, Level::Avx512}) {
+        if (!exec::simd::levelSupported(l))
+            continue;
+        EXPECT_NE(exec::simd::kernels(l), nullptr) << exec::simd::toString(l);
+        EXPECT_EQ(&exec::simd::requireKernels(l), exec::simd::kernels(l));
+    }
+}
+
+TEST(SimdDispatchDeath, RequiringUnsupportedLevelDiesNamingCpuFeatures)
+{
+    for (Level l : {Level::Avx2, Level::Avx512}) {
+        if (exec::simd::levelSupported(l))
+            continue;
+        EXPECT_DEATH(exec::simd::requireKernels(l),
+                     "has no kernels on this host.*detected CPU features");
+        return;
+    }
+    GTEST_SKIP() << "host supports every level";
 }
 
 TEST(SimdDispatch, DescribesDetectedFeatures)

@@ -74,17 +74,18 @@ parseArgs(int argc, char** argv)
         if (std::strncmp(arg, "--host=", 7) == 0)
             a.host = arg + 7;
         else if (std::strncmp(arg, "--clients=", 10) == 0)
-            a.clients = std::atoi(arg + 10);
+            a.clients = intValue("--clients", arg + 10, 1);
         else if (std::strncmp(arg, "--requests=", 11) == 0)
-            a.requests = std::atoi(arg + 11);
+            a.requests = intValue("--requests", arg + 11);
         else if (std::strncmp(arg, "--seed=", 7) == 0)
             a.seed = std::strtoull(arg + 7, nullptr, 0);
         else if (std::strncmp(arg, "--slow-client=", 14) == 0)
-            a.slow_client = std::atoi(arg + 14);
+            a.slow_client = intValue("--slow-client", arg + 14);
         else if (std::strncmp(arg, "--slow-ms=", 10) == 0)
-            a.slow_ms = std::atoi(arg + 10);
+            a.slow_ms = intValue("--slow-ms", arg + 10);
         else if (std::strncmp(arg, "--cancel-after-tokens=", 22) == 0)
-            a.cancel_after_tokens = std::atoi(arg + 22);
+            a.cancel_after_tokens = intValue("--cancel-after-tokens",
+                                             arg + 22);
         else if (std::strcmp(arg, "--verify-inprocess") == 0)
             a.verify_inprocess = true;
         else if (std::strncmp(arg, "--stats-json=", 13) == 0)

@@ -83,10 +83,12 @@ main(int argc, char** argv)
     sc.port = opts.port;
     for (int i = 1; i < argc; i++) {
         if (std::strncmp(argv[i], "--max-inflight=", 15) == 0)
-            sc.max_inflight = std::atoi(argv[i] + 15);
+            sc.max_inflight = intValue("--max-inflight", argv[i] + 15, 1);
         else if (std::strncmp(argv[i], "--write-buffer-kb=", 18) == 0)
             sc.write_buffer_limit =
-                static_cast<std::size_t>(std::atoi(argv[i] + 18)) * 1024;
+                static_cast<std::size_t>(
+                    intValue("--write-buffer-kb", argv[i] + 18)) *
+                1024;
     }
 
     const backend::AttentionBackend& be =
