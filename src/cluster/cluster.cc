@@ -69,17 +69,6 @@ Cluster::Cluster(const sim::GpuArch& arch, const model::ModelConfig& model,
     last_.per_shard.resize(static_cast<std::size_t>(cfg_.num_shards));
 }
 
-int
-Cluster::submit(const serving::Request& r)
-{
-    BITDEC_ASSERT(shard_of_.find(r.id) == shard_of_.end(),
-                  "duplicate request id ", r.id, " submitted to cluster");
-    const int shard = router_.route(r);
-    shard_of_[r.id] = shard;
-    since_drain_.push_back(r.id);
-    return shards_[static_cast<std::size_t>(shard)]->submit(r);
-}
-
 const serving::Request*
 Cluster::poll(int id) const
 {
@@ -89,39 +78,11 @@ Cluster::poll(int id) const
     return shards_[static_cast<std::size_t>(it->second)]->poll(id);
 }
 
-bool
-Cluster::cancel(int id)
-{
-    const auto it = shard_of_.find(id);
-    if (it == shard_of_.end())
-        return false;
-    return shards_[static_cast<std::size_t>(it->second)]->cancel(id);
-}
-
 int
 Cluster::shardOf(int id) const
 {
     const auto it = shard_of_.find(id);
     return it == shard_of_.end() ? -1 : it->second;
-}
-
-serving::ServingMetrics
-Cluster::drain()
-{
-    BITDEC_ASSERT(!streaming_, "drain while a stream is open");
-    const auto n = shards_.size();
-
-    // Run every shard's batch. The virtual clock is shared: each shard
-    // simulates the same arrival timeline independently and shards never
-    // interact mid-run, so sequential draining reproduces exactly what N
-    // concurrent replicas would do.
-    std::vector<serving::ServingMetrics> per_shard(n);
-    for (std::size_t s = 0; s < n; s++)
-        per_shard[s] = shards_[s]->drain();
-
-    last_ = aggregateRound(per_shard, since_drain_);
-    since_drain_.clear();
-    return last_.aggregate;
 }
 
 ClusterMetrics
@@ -306,8 +267,6 @@ Cluster::admissionError(const serving::Request& r) const
 void
 Cluster::streamBegin(serving::TokenSink sink)
 {
-    BITDEC_ASSERT(!streaming_, "streamBegin while a stream is open");
-    streaming_ = true;
     // Every shard streams into the same sink: events from different
     // shards interleave in shared-clock order (see streamTick), events
     // of one request always arrive in index order from its one shard.
@@ -318,19 +277,17 @@ Cluster::streamBegin(serving::TokenSink sink)
 int
 Cluster::streamSubmit(const serving::Request& r)
 {
-    BITDEC_ASSERT(streaming_, "streamSubmit without an open stream");
     BITDEC_ASSERT(shard_of_.find(r.id) == shard_of_.end(),
                   "duplicate request id ", r.id, " submitted to cluster");
     const int shard = router_.route(r);
     shard_of_[r.id] = shard;
-    since_drain_.push_back(r.id);
+    stream_ids_.push_back(r.id);
     return shards_[static_cast<std::size_t>(shard)]->streamSubmit(r);
 }
 
 bool
 Cluster::streamCancel(int id)
 {
-    BITDEC_ASSERT(streaming_, "streamCancel without an open stream");
     const auto it = shard_of_.find(id);
     if (it == shard_of_.end())
         return false;
@@ -340,7 +297,6 @@ Cluster::streamCancel(int id)
 bool
 Cluster::streamTick()
 {
-    BITDEC_ASSERT(streaming_, "streamTick without an open stream");
     // Advance the non-idle shard whose virtual clock is furthest behind:
     // the deterministic analogue of N replicas running concurrently —
     // token events merge in shared-clock order, ties break by shard
@@ -390,23 +346,20 @@ Cluster::streamClock() const
 serving::ServingMetrics
 Cluster::streamSnapshot() const
 {
-    BITDEC_ASSERT(streaming_, "streamSnapshot without an open stream");
     std::vector<serving::ServingMetrics> per_shard(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); s++)
         per_shard[s] = shards_[s]->streamSnapshot();
-    return aggregateRound(per_shard, since_drain_).aggregate;
+    return aggregateRound(per_shard, stream_ids_).aggregate;
 }
 
 serving::ServingMetrics
 Cluster::streamEnd()
 {
-    BITDEC_ASSERT(streaming_, "streamEnd without an open stream");
     std::vector<serving::ServingMetrics> per_shard(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); s++)
         per_shard[s] = shards_[s]->streamEnd();
-    last_ = aggregateRound(per_shard, since_drain_);
-    since_drain_.clear();
-    streaming_ = false;
+    last_ = aggregateRound(per_shard, stream_ids_);
+    stream_ids_.clear();
     return last_.aggregate;
 }
 

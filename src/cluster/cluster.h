@@ -6,17 +6,16 @@
  * Each shard is a complete Engine (own page pool, scheduler, tiers,
  * fault injector) wrapped in an EngineClient — the simulator's stand-in
  * for one GPU replica. The Router places every submitted request on a
- * shard (sticky prefix-aware by default, see router.h); drain() runs
- * each shard's batch to completion and aggregates the per-shard metrics
- * into one cluster-wide summary.
+ * shard (sticky prefix-aware by default, see router.h); streamTick()
+ * advances the shard furthest behind on the shared clock, and
+ * drain()/streamEnd() aggregate the per-shard metrics into one
+ * cluster-wide summary.
  *
  * Shared virtual clock: every shard's run starts from the same t=0
- * arrival timeline and shards never interact mid-run (requests are
- * placed before any shard executes), so draining the shard simulations
- * sequentially is observationally identical to running them
- * concurrently — the cluster makespan is the max over shards of each
- * shard's absolute finish time, exactly as if N devices ran in
- * parallel.
+ * arrival timeline and shards never interact mid-run, so a shard's
+ * results do not depend on how its ticks interleave with other shards'
+ * — the cluster makespan is the max over shards of each shard's
+ * absolute finish time, exactly as if N devices ran in parallel.
  *
  * Determinism and shard-count invariance: token content derives from
  * (request id, position) and (prefix id, position) seeds only — never
@@ -50,7 +49,7 @@ struct ClusterConfig
     serving::EngineConfig engine;
 };
 
-/** Cross-shard aggregate of one drain: cluster summary + per-shard
+/** Cross-shard aggregate of one stream: cluster summary + per-shard
  *  breakdown + routing counters. */
 struct ClusterMetrics
 {
@@ -66,24 +65,7 @@ class Cluster final : public serving::ServingClient
     Cluster(const sim::GpuArch& arch, const model::ModelConfig& model,
             const ClusterConfig& cfg);
 
-    /** Routes the request to its shard (sticky prefix placement) and
-     *  submits it there. */
-    int submit(const serving::Request& r) override;
     const serving::Request* poll(int id) const override;
-    bool cancel(int id) override;
-
-    /**
-     * Drains every shard that holds pending requests and aggregates:
-     * request-level distributions (TTFT, TPOT, latency, per-priority
-     * TTFT) and the outputs digest are re-folded from the individual
-     * finished requests, so they are exact cluster-wide; counters are
-     * summed; the step-weighted rates (avg decode batch, pool
-     * utilization) and the stall percentiles are merged approximately
-     * (makespan-weighted means, max for tails). With one shard the
-     * aggregate is that shard's metrics verbatim — byte-identical to a
-     * bare Engine run. The full breakdown is kept in clusterMetrics().
-     */
-    serving::ServingMetrics drain() override;
     serving::ClientStats stats() const override;
 
     /**
@@ -92,6 +74,17 @@ class Cluster final : public serving::ServingClient
      * the non-idle shard whose clock is furthest behind, so the merged
      * token-event order is deterministic and each request's digests are
      * byte-identical to a single-engine run of the same trace.
+     *
+     * streamSnapshot()/streamEnd() (and so drain()) aggregate the
+     * shards: request-level distributions (TTFT, TPOT, latency,
+     * per-priority TTFT) and the outputs digest are re-folded from the
+     * individual finished requests, so they are exact cluster-wide;
+     * counters are summed; the step-weighted rates (avg decode batch,
+     * pool utilization) and the stall percentiles are merged
+     * approximately (makespan-weighted means, max for tails). With one
+     * active shard the aggregate is that shard's metrics verbatim —
+     * byte-identical to a bare Engine run. The full breakdown of the
+     * last streamEnd() is kept in clusterMetrics().
      */
     std::string admissionError(const serving::Request& r) const override;
     void streamBegin(serving::TokenSink sink = {}) override;
@@ -103,7 +96,8 @@ class Cluster final : public serving::ServingClient
     serving::ServingMetrics streamSnapshot() const override;
     serving::ServingMetrics streamEnd() override;
 
-    /** Aggregate + per-shard + router view of the most recent drain. */
+    /** Aggregate + per-shard + router view of the most recent
+     *  streamEnd() (or drain()). */
     const ClusterMetrics& clusterMetrics() const { return last_; }
 
     /** The shard a submitted request was placed on; -1 when unknown. */
@@ -112,8 +106,8 @@ class Cluster final : public serving::ServingClient
     int numShards() const { return static_cast<int>(shards_.size()); }
 
   private:
-    /** Folds one round's per-shard metrics + request records into a
-     *  cluster-wide ClusterMetrics (the drain() aggregation). */
+    /** Folds one stream's per-shard metrics + request records into a
+     *  cluster-wide ClusterMetrics. */
     ClusterMetrics
     aggregateRound(const std::vector<serving::ServingMetrics>& per_shard,
                    const std::vector<int>& ids) const;
@@ -122,8 +116,7 @@ class Cluster final : public serving::ServingClient
     Router router_;
     std::vector<std::unique_ptr<serving::EngineClient>> shards_;
     std::unordered_map<int, int> shard_of_; //!< request id -> shard
-    std::vector<int> since_drain_; //!< ids submitted since the last drain
-    bool streaming_ = false;
+    std::vector<int> stream_ids_; //!< ids submitted into the open stream
     ClusterMetrics last_;
 };
 

@@ -437,7 +437,10 @@ Server::run()
                 acceptNew();
             fi++;
         }
-        for (std::size_t i = 0; i < conns_.size(); i++, fi++) {
+        // Only the connections that were polled: acceptNew() may have
+        // appended one past the end of fds.
+        const std::size_t polled = fds.size() - fi;
+        for (std::size_t i = 0; i < polled; i++, fi++) {
             if (fds[fi].revents & (POLLIN | POLLHUP | POLLERR))
                 if (!conns_[i]->closing)
                     readFrom(*conns_[i]);

@@ -1,7 +1,5 @@
 #include "serving/client.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace bitdec::serving {
@@ -28,23 +26,40 @@ sanitized(const Request& r)
 
 } // namespace
 
+int
+ServingClient::submit(const Request& r)
+{
+    if (!batch_open_) {
+        streamBegin();
+        batch_open_ = true;
+    }
+    return streamSubmit(r);
+}
+
+bool
+ServingClient::cancel(int id)
+{
+    // Outside the helper stream every request has run (or was never
+    // submitted): nothing is left to cancel.
+    return batch_open_ && streamCancel(id);
+}
+
+ServingMetrics
+ServingClient::drain()
+{
+    if (!batch_open_)
+        return ServingMetrics{};
+    while (streamTick()) {
+    }
+    batch_open_ = false;
+    return streamEnd();
+}
+
 EngineClient::EngineClient(const sim::GpuArch& arch,
                            const model::ModelConfig& model,
                            const EngineConfig& cfg)
     : engine_(arch, model, cfg)
 {
-}
-
-int
-EngineClient::submit(const Request& r)
-{
-    BITDEC_ASSERT(!streaming_, "batch submit while a stream is open");
-    BITDEC_ASSERT(index_.find(r.id) == index_.end(),
-                  "duplicate request id ", r.id, " submitted");
-    store_.push_back(sanitized(r));
-    index_[r.id] = store_.size() - 1;
-    pending_.push_back(store_.size() - 1);
-    return r.id;
 }
 
 const Request*
@@ -54,66 +69,12 @@ EngineClient::poll(int id) const
     return it == index_.end() ? nullptr : &store_[it->second];
 }
 
-bool
-EngineClient::cancel(int id)
-{
-    BITDEC_ASSERT(!streaming_, "batch cancel while a stream is open — "
-                               "use streamCancel");
-    const auto it = index_.find(id);
-    if (it == index_.end())
-        return false;
-    Request& r = store_[it->second];
-    if (r.state != RequestState::Queued ||
-        r.cancel_cause != CancelCause::None)
-        return false; // already ran (or already canceled)
-    r.state = RequestState::Canceled;
-    r.cancel_cause = CancelCause::Client;
-    canceled_++;
-    return true;
-}
-
-ServingMetrics
-EngineClient::drain()
-{
-    BITDEC_ASSERT(!streaming_, "drain while a stream is open");
-    // Client-canceled requests never reach the engine; a drain with
-    // nothing left to run is a no-op (the engine requires a non-empty
-    // trace).
-    std::vector<Request> batch;
-    for (const std::size_t slot : pending_) {
-        if (store_[slot].state == RequestState::Canceled)
-            continue;
-        batch.push_back(store_[slot]);
-    }
-    pending_.clear();
-    if (batch.empty())
-        return ServingMetrics{};
-
-    // The engine sorts nothing itself: traces arrive by arrival time.
-    std::stable_sort(batch.begin(), batch.end(),
-                     [](const Request& a, const Request& b) {
-                         return a.arrival_s < b.arrival_s;
-                     });
-    const ServingMetrics m = engine_.run(batch);
-    for (const Request& done : batch) {
-        store_[index_.at(done.id)] = done;
-        if (done.state == RequestState::Finished)
-            finished_++;
-        else if (done.state == RequestState::Canceled)
-            canceled_++; // shed or deadline: the engine's cancellation
-    }
-    return m;
-}
-
 ClientStats
 EngineClient::stats() const
 {
     ClientStats s;
     s.submitted = static_cast<int>(store_.size());
-    for (const std::size_t slot : pending_)
-        if (store_[slot].state == RequestState::Queued)
-            s.pending++;
-    for (const std::size_t slot : stream_slots_)
+    for (std::size_t slot = stream_slots_; slot < store_.size(); slot++)
         if (!store_[slot].done())
             s.pending++;
     s.finished = finished_;
@@ -134,21 +95,16 @@ EngineClient::admissionError(const Request& r) const
 void
 EngineClient::streamBegin(TokenSink sink)
 {
-    BITDEC_ASSERT(!streaming_, "streamBegin while a stream is open");
-    streaming_ = true;
-    stream_slots_.clear();
     engine_.streamBegin(std::move(sink));
 }
 
 int
 EngineClient::streamSubmit(const Request& r)
 {
-    BITDEC_ASSERT(streaming_, "streamSubmit without an open stream");
     BITDEC_ASSERT(index_.find(r.id) == index_.end(),
                   "duplicate request id ", r.id, " submitted");
     store_.push_back(sanitized(r));
     index_[r.id] = store_.size() - 1;
-    stream_slots_.push_back(store_.size() - 1);
     // A deque never relocates elements on push_back, so the engine can
     // hold this pointer for the life of the stream while poll() reads
     // the same object live.
@@ -159,7 +115,6 @@ EngineClient::streamSubmit(const Request& r)
 bool
 EngineClient::streamCancel(int id)
 {
-    BITDEC_ASSERT(streaming_, "streamCancel without an open stream");
     if (!engine_.streamCancel(id))
         return false;
     canceled_++;
@@ -169,14 +124,13 @@ EngineClient::streamCancel(int id)
 bool
 EngineClient::streamTick()
 {
-    BITDEC_ASSERT(streaming_, "streamTick without an open stream");
     return engine_.streamTick();
 }
 
 bool
 EngineClient::streamIdle() const
 {
-    return !streaming_ || engine_.streamIdle();
+    return engine_.streamIdle();
 }
 
 double
@@ -188,16 +142,14 @@ EngineClient::streamClock() const
 ServingMetrics
 EngineClient::streamSnapshot() const
 {
-    BITDEC_ASSERT(streaming_, "streamSnapshot without an open stream");
     return engine_.streamSnapshot();
 }
 
 ServingMetrics
 EngineClient::streamEnd()
 {
-    BITDEC_ASSERT(streaming_, "streamEnd without an open stream");
     const ServingMetrics m = engine_.streamEnd();
-    for (const std::size_t slot : stream_slots_) {
+    for (std::size_t slot = stream_slots_; slot < store_.size(); slot++) {
         const Request& r = store_[slot];
         if (r.state == RequestState::Finished)
             finished_++;
@@ -205,8 +157,7 @@ EngineClient::streamEnd()
                  r.cancel_cause != CancelCause::Client)
             canceled_++; // client cancels were counted by streamCancel
     }
-    stream_slots_.clear();
-    streaming_ = false;
+    stream_slots_ = store_.size();
     return m;
 }
 

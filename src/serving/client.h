@@ -4,21 +4,24 @@
  * use to drive a serving run.
  *
  * A ServingClient accepts requests (submit), exposes their state
- * (poll), supports pre-run cancellation (cancel), runs everything
- * submitted since the last drain to completion on the virtual clock
- * (drain) and reports queue/pool counters (stats). It deliberately
- * exposes none of the engine's internals — no scheduler, no cache, no
- * clock — so the same driver code runs against one Engine or a sharded
- * Cluster (src/cluster/) unchanged, and shard-count invariance of the
- * run digests is testable the same way thread-count invariance is.
+ * (poll), supports cancellation (cancel), runs everything submitted
+ * since the last drain to completion on the virtual clock (drain) and
+ * reports queue/pool counters (stats). It deliberately exposes none of
+ * the engine's internals — no scheduler, no cache, no clock — so the
+ * same driver code runs against one Engine or a sharded Cluster
+ * (src/cluster/) unchanged, and shard-count invariance of the run
+ * digests is testable the same way thread-count invariance is.
  *
- * Execution model: the engine's clock is virtual, so a drain is a batch
- * simulation, not a live server — submit enqueues a copy of the
- * request, drain runs the whole submitted set to completion and returns
- * the run's ServingMetrics, and poll reads back the final per-request
- * state (timestamps, hashes, cancel cause). Submissions compose across
+ * Execution model: the engine's clock is virtual, and there is one way
+ * to run it — the stream (streamBegin..streamEnd) that live front ends
+ * pump tick by tick. submit/cancel/drain are a helper stream over the
+ * same calls: the first submit opens a stream, cancel cancels inside
+ * it, and drain ticks it until idle and closes it, returning the run's
+ * ServingMetrics; poll reads back the final per-request state
+ * (timestamps, hashes, cancel cause). Submissions compose across
  * drains: each drain covers the requests submitted since the previous
- * one.
+ * one. Mixing an explicitly opened stream with batch calls is a caller
+ * error.
  */
 #ifndef BITDEC_SERVING_CLIENT_H
 #define BITDEC_SERVING_CLIENT_H
@@ -26,7 +29,6 @@
 #include <deque>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "gpusim/arch.h"
 #include "model/model_config.h"
@@ -57,52 +59,52 @@ class ServingClient
     virtual ~ServingClient() = default;
 
     /**
-     * Accepts a request for the next drain. Only the workload fields
-     * are read (id, arrival, lengths, prefix, priority, idle shape,
-     * deadline); runtime fields are reset internally. Request ids must
-     * be unique across the client's lifetime. @return the request id.
+     * Accepts a request for the next drain: opens the helper stream on
+     * first use, then streamSubmit(). Only the workload fields are read
+     * (id, arrival, lengths, prefix, priority, idle shape, deadline);
+     * runtime fields are reset internally. Request ids must be unique
+     * across the client's lifetime. @return the request id.
      */
-    virtual int submit(const Request& r) = 0;
+    virtual int submit(const Request& r);
 
     /**
      * Read-only view of a submitted request — before its drain the
-     * pending copy, afterwards the final state (timestamps, hashes,
+     * queued copy, afterwards the final state (timestamps, hashes,
      * cancel cause). Null for an unknown id. The pointer stays valid
      * until the client is destroyed.
      */
     virtual const Request* poll(int id) const = 0;
 
     /**
-     * Cancels a pending request before its drain runs: it is marked
-     * CANCELED with CancelCause::Client, excluded from the drain and
-     * from the run's outputs_digest. @return false when the id is
-     * unknown or the request already ran.
+     * Cancels a request submitted since the last drain: it is marked
+     * CANCELED with CancelCause::Client and excluded from the drain's
+     * metrics and outputs_digest. @return false when the id is unknown,
+     * already canceled, or the request already ran.
      */
-    virtual bool cancel(int id) = 0;
+    virtual bool cancel(int id);
 
     /**
-     * Runs every pending request to completion on the virtual clock and
-     * returns the run's metrics. Draining with nothing pending returns
-     * empty metrics. Results are read back via poll().
+     * Ticks the helper stream until idle, closes it and returns the
+     * run's metrics. Draining with nothing submitted returns empty
+     * metrics. Results are read back via poll().
      */
-    virtual ServingMetrics drain() = 0;
+    virtual ServingMetrics drain();
 
     /** Aggregate counters; callable at any point. */
     virtual ClientStats stats() const = 0;
 
     // ------------------------------------------------------------------
-    // Streaming surface: the incremental twin of drain(). A front end
+    // Streaming surface: the one way a run executes. A front end
     // (src/net/) opens a stream once, then interleaves submissions,
-    // cancels and ticks while reading token events from the sink — the
-    // engine executes the exact same operation sequence as a batch
-    // drain, so per-request digests are byte-identical by construction.
-    // Batch calls (submit/cancel/drain) and stream calls must not be
-    // mixed while a stream is open.
+    // cancels and ticks while reading token events from the sink; the
+    // batch calls above drive the same surface. Batch calls
+    // (submit/cancel/drain) must not be mixed into an explicitly opened
+    // stream.
     // ------------------------------------------------------------------
 
     /**
      * Why a request would be rejected, without terminating the process:
-     * the exact message drain()/run() would fail fast with (duplicate
+     * the exact message submit()/run() would fail fast with (duplicate
      * id, empty prompt, impossible fit, bad prefix/idle/deadline
      * shape), or an empty string when the request is admissible.
      */
@@ -151,6 +153,9 @@ class ServingClient
      * back via poll(), same as after a drain.
      */
     virtual ServingMetrics streamEnd() = 0;
+
+  private:
+    bool batch_open_ = false; //!< submit() opened the helper stream
 };
 
 /** ServingClient over one Engine replica. */
@@ -160,10 +165,7 @@ class EngineClient final : public ServingClient
     EngineClient(const sim::GpuArch& arch, const model::ModelConfig& model,
                  const EngineConfig& cfg);
 
-    int submit(const Request& r) override;
     const Request* poll(int id) const override;
-    bool cancel(int id) override;
-    ServingMetrics drain() override;
     ClientStats stats() const override;
 
     std::string admissionError(const Request& r) const override;
@@ -181,9 +183,9 @@ class EngineClient final : public ServingClient
     //! All requests ever submitted; deque keeps poll() pointers stable.
     std::deque<Request> store_;
     std::unordered_map<int, std::size_t> index_; //!< id -> store_ slot
-    std::vector<std::size_t> pending_;           //!< slots awaiting drain
-    std::vector<std::size_t> stream_slots_;      //!< slots in the open stream
-    bool streaming_ = false;
+    //! store_ slot where the open (or next) stream begins: every
+    //! submission appends inside a stream, so the stream owns the tail.
+    std::size_t stream_slots_ = 0;
     int finished_ = 0;
     int canceled_ = 0;
 };

@@ -487,6 +487,20 @@ Engine::nextDeadline() const
     return t;
 }
 
+double
+Engine::nextEventTime() const
+{
+    double t = std::numeric_limits<double>::infinity();
+    for (const Request* r : sched_.running())
+        if (r->fetch_ready_s > clock_)
+            t = std::min(t, r->fetch_ready_s);
+    if (next_arrival_ < live_.size())
+        t = std::min(t, live_[next_arrival_]->arrival_s);
+    t = std::min(t, sched_.nextIdleWake());
+    t = std::min(t, nextDeadline());
+    return std::min(t, sched_.nextShedDeadline());
+}
+
 void
 Engine::streamBegin(TokenSink sink)
 {
@@ -522,18 +536,26 @@ Engine::streamAdd(Request* r)
                              return a->arrival_s < b->arrival_s;
                          });
     live_.insert(it, r);
-    first_arrival_ = std::min(first_arrival_, r->arrival_s);
 }
 
 bool
 Engine::streamCancel(int id)
 {
     BITDEC_ASSERT(stream_active_, "streamCancel outside an active stream");
-    for (Request* r : live_) {
+    for (std::size_t slot = 0; slot < live_.size(); slot++) {
+        Request* r = live_[slot];
         if (r->id != id)
             continue;
         if (r->done())
             return false;
+        if (slot >= next_arrival_) {
+            // Not yet arrived: the request leaves the run as if it had
+            // never been added — no clock, no metrics, finish_s unset.
+            live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(slot));
+            r->state = RequestState::Canceled;
+            r->cancel_cause = CancelCause::Client;
+            return true;
+        }
         cancelRequest(*r, CancelCause::Client, clock_);
         finished_++;
         return true;
@@ -570,11 +592,14 @@ Engine::streamTick()
         double& clock = clock_;
         MetricsCollector& mc = mc_;
 
+        // The makespan starts at the earliest arrival that reached the
+        // clock: a late submission may arrive in the past, a request
+        // canceled before its arrival never counts.
         while (next_arrival_ < live_.size() &&
                live_[next_arrival_]->arrival_s <= clock) {
             Request* r = live_[next_arrival_++];
-            if (!r->done()) // client-canceled before its arrival tick
-                sched_.enqueue(r);
+            first_arrival_ = std::min(first_arrival_, r->arrival_s);
+            sched_.enqueue(r);
         }
         sched_.wakeIdle(clock);
         // Graceful degradation first: cancel requests whose deadline has
@@ -606,12 +631,7 @@ Engine::streamTick()
             sched_.admit(cache_, clock);
 
         if (sched_.running().empty()) {
-            double next_t = std::numeric_limits<double>::infinity();
-            if (next_arrival_ < live_.size())
-                next_t = live_[next_arrival_]->arrival_s;
-            next_t = std::min(next_t, sched_.nextIdleWake());
-            next_t = std::min(next_t, nextDeadline());
-            next_t = std::min(next_t, sched_.nextShedDeadline());
+            const double next_t = nextEventTime();
             BITDEC_ASSERT(std::isfinite(next_t),
                           "scheduler stalled with work pending");
             clock = std::max(clock, next_t);
@@ -696,15 +716,7 @@ Engine::streamTick()
         // append, so jump the clock to the earliest fetch-ready time
         // (or the next arrival/wake) instead of spinning.
         if (plan.decode_batch == 0 && plan.prefill_tokens == 0) {
-            double next_t = std::numeric_limits<double>::infinity();
-            for (const Request* r : sched_.running())
-                if (r->fetch_ready_s > clock)
-                    next_t = std::min(next_t, r->fetch_ready_s);
-            if (next_arrival_ < live_.size())
-                next_t = std::min(next_t, live_[next_arrival_]->arrival_s);
-            next_t = std::min(next_t, sched_.nextIdleWake());
-            next_t = std::min(next_t, nextDeadline());
-            next_t = std::min(next_t, sched_.nextShedDeadline());
+            const double next_t = nextEventTime();
             BITDEC_ASSERT(std::isfinite(next_t),
                           "batch stalled with nothing to wait for");
             clock = std::max(clock, next_t);

@@ -217,8 +217,10 @@ class Engine
      * Mid-run cancel hook: cleanly cancels the live request @p id
      * (removed from the scheduler, pages freed, state CANCELED with
      * CancelCause::Client — whether queued, prefilling, decoding, parked
-     * or preempted). @return false when the id is unknown or already
-     * done.
+     * or preempted). A request whose arrival the clock has not reached
+     * leaves the run as if never added: it touches neither the clock
+     * nor the metrics and keeps finish_s at -1. @return false when the
+     * id is unknown or already done.
      */
     bool streamCancel(int id);
 
@@ -299,6 +301,13 @@ class Engine
 
     /** Earliest pending completion deadline; +inf when none. */
     double nextDeadline() const;
+
+    /**
+     * Where an idle clock jump lands: the earliest tier-fetch gate of a
+     * running request, next arrival, idle wake, deadline or shed
+     * deadline; +inf when nothing is pending.
+     */
+    double nextEventTime() const;
     ServingMetrics finalizeMetrics() const;
 
     const sim::GpuArch& arch_;
@@ -333,6 +342,7 @@ class Engine
     int finished_ = 0;             //!< done (finished or canceled) count
     double clock_ = 0;
     bool clock_started_ = false; //!< clock_ seeded from the first arrival
+    //! Earliest arrival that reached the clock (the makespan's start).
     double first_arrival_ = std::numeric_limits<double>::infinity();
     MetricsCollector mc_;
 };

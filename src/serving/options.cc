@@ -27,6 +27,20 @@ intValue(const char* flag, const char* text, int min_value)
     return static_cast<int>(v);
 }
 
+std::uint64_t
+u64Value(const char* flag, const char* text)
+{
+    // strtoull negates a leading '-' instead of rejecting it.
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 0);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        std::strchr(text, '-') != nullptr)
+        BITDEC_FATAL(flag, "= needs a non-negative integer, got '", text,
+                     "'");
+    return v;
+}
+
 ServingOptions
 ServingOptions::parse(int argc, char** argv)
 {
@@ -57,11 +71,7 @@ ServingOptions::parse(int argc, char** argv)
             BITDEC_FATAL("--faults takes its value with '=', e.g. "
                          "--faults=fetch=0.02,corrupt=0.01");
         } else if (std::strncmp(arg, "--fault-seed=", 13) == 0) {
-            char* end = nullptr;
-            o.fault_seed = std::strtoull(arg + 13, &end, 0);
-            if (end == arg + 13 || *end != '\0')
-                BITDEC_FATAL("--fault-seed= needs an integer, got '",
-                             arg + 13, "'");
+            o.fault_seed = u64Value("--fault-seed", arg + 13);
             o.fault_seed_given = true;
         } else if (std::strcmp(arg, "--fault-seed") == 0) {
             BITDEC_FATAL("--fault-seed takes its value with '=', e.g. "

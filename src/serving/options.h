@@ -48,6 +48,11 @@ namespace bitdec::serving {
  */
 int intValue(const char* flag, const char* text, int min_value = 0);
 
+/** intValue for 64-bit seeds: the whole of @p text must be an unsigned
+ *  integer (base 0) up to 2^64-1; a sign, garbage or overflow dies
+ *  naming @p flag. */
+std::uint64_t u64Value(const char* flag, const char* text);
+
 /** Parsed command-line options shared by the serving binaries. */
 struct ServingOptions
 {

@@ -333,6 +333,67 @@ TEST(Cluster, ClientCancelExcludesRequestFromDrainAndDigest)
     EXPECT_EQ(cs.finished, static_cast<int>(trace.size()) - 1);
     EXPECT_EQ(cs.canceled, 1);
     EXPECT_EQ(cs.pending, 0);
+
+    // A second drain has nothing to run, and nothing is left to cancel.
+    const std::string empty = ServingMetrics{}.toJson();
+    EXPECT_EQ(cl->drain().toJson(), empty);
+    EXPECT_FALSE(cl->cancel(3));
+
+    const auto client = [](int shards) {
+        return serving::makeServingClient(sim::archA100(),
+                                          model::llama2_7b(),
+                                          clusterTinyConfig(64), shards);
+    };
+
+    // Canceling the earliest arrival leaves the run that never had it:
+    // the clock starts at the next arrival, and the request never
+    // finishes.
+    auto without0 = client(1);
+    for (const Request& r : trace)
+        if (r.id != 0)
+            without0->submit(r);
+    const std::string want0 = without0->drain().toJson();
+    auto one = client(1);
+    for (const Request& r : trace)
+        one->submit(r);
+    EXPECT_TRUE(one->cancel(0));
+    EXPECT_EQ(one->drain().toJson(), want0);
+    EXPECT_EQ(one->poll(0)->finish_s, -1);
+    EXPECT_FALSE(one->cancel(0));
+
+    // Canceling every request leaves nothing to run.
+    auto all = client(2);
+    for (const Request& r : trace)
+        all->submit(r);
+    for (const Request& r : trace)
+        EXPECT_TRUE(all->cancel(r.id));
+    EXPECT_EQ(all->drain().toJson(), empty);
+    EXPECT_EQ(all->stats().pending, 0);
+
+    // Stream level: once the clock runs, canceling a request whose
+    // arrival is still ahead equals a stream that never added it.
+    const Request& last = trace.back();
+    const auto pump = [](serving::ServingClient& c) {
+        while (c.streamTick()) {
+        }
+        EXPECT_TRUE(c.streamIdle());
+        return c.streamEnd().toJson();
+    };
+    auto ref_stream = client(1);
+    ref_stream->streamBegin();
+    for (const Request& r : trace)
+        if (r.id != last.id)
+            ref_stream->streamSubmit(r);
+    const std::string want_stream = pump(*ref_stream);
+    auto stream = client(1);
+    stream->streamBegin();
+    for (const Request& r : trace)
+        stream->streamSubmit(r);
+    ASSERT_TRUE(stream->streamTick());
+    ASSERT_LT(stream->streamClock(), last.arrival_s);
+    EXPECT_TRUE(stream->streamCancel(last.id));
+    EXPECT_FALSE(stream->streamCancel(last.id));
+    EXPECT_EQ(pump(*stream), want_stream);
 }
 
 TEST(Cluster, StatsAggregateAcrossShards)
@@ -438,9 +499,10 @@ TEST(ServingOptions, MalformedValuesDieNamingTheFlag)
 
 /** The tools' numeric flags (bitdec_client --clients/--requests/...,
  *  bitdec_server --max-inflight/--write-buffer-kb) parse through
- *  intValue: garbage and negative values must die naming the flag,
- *  never become a silent 0 (a client count of 0 would divide by zero
- *  when the client shards its trace). */
+ *  intValue, the 64-bit seeds (--seed, --fault-seed) through u64Value:
+ *  garbage and negative values must die naming the flag, never become
+ *  a silent 0 (a client count of 0 would divide by zero when the client
+ *  shards its trace) or wrap to 2^64-1. */
 TEST(ServingOptions, IntValueRejectsGarbageAndNegativeInput)
 {
     EXPECT_EQ(serving::intValue("--clients", "8", 1), 8);
@@ -459,6 +521,19 @@ TEST(ServingOptions, IntValueRejectsGarbageAndNegativeInput)
                  "--slow-ms= needs a non-negative integer");
     EXPECT_DEATH(serving::intValue("--cancel-after-tokens", "99999999999"),
                  "--cancel-after-tokens= needs a non-negative integer");
+
+    // 64-bit seeds (bitdec_client --seed, --fault-seed) share the rule.
+    EXPECT_EQ(serving::u64Value("--seed", "0xFFFFFFFFFFFFFFFF"),
+              ~std::uint64_t{0});
+    EXPECT_EQ(serving::u64Value("--fault-seed", "1337"), 1337u);
+    EXPECT_DEATH(serving::u64Value("--seed", "abc"),
+                 "--seed= needs a non-negative integer, got 'abc'");
+    EXPECT_DEATH(serving::u64Value("--seed", "12x"),
+                 "--seed= needs a non-negative integer, got '12x'");
+    EXPECT_DEATH(serving::u64Value("--fault-seed", "-1"),
+                 "--fault-seed= needs a non-negative integer, got '-1'");
+    EXPECT_DEATH(serving::u64Value("--seed", "18446744073709551616"),
+                 "--seed= needs a non-negative integer");
 }
 
 } // namespace

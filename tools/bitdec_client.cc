@@ -78,7 +78,7 @@ parseArgs(int argc, char** argv)
         else if (std::strncmp(arg, "--requests=", 11) == 0)
             a.requests = intValue("--requests", arg + 11);
         else if (std::strncmp(arg, "--seed=", 7) == 0)
-            a.seed = std::strtoull(arg + 7, nullptr, 0);
+            a.seed = u64Value("--seed", arg + 7);
         else if (std::strncmp(arg, "--slow-client=", 14) == 0)
             a.slow_client = intValue("--slow-client", arg + 14);
         else if (std::strncmp(arg, "--slow-ms=", 10) == 0)
