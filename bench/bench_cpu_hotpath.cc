@@ -12,12 +12,17 @@
  *                      the smoke gate once per fused backend
  *   --list-backends    capability matrix; =fused prints the gated names
  *
+ * Every context also times HeadDecoder::prefill of its K/V on its own
+ * (median over the repetitions, reported as prefill_ms, not gated): the
+ * quantize/pack layer of the packed cache.
+ *
  * The legacy path at 128K is extrapolated linearly from 32K (it is
  * O(context) and already dominates the full-sweep runtime); the JSON
  * marks it "legacy_estimated": true. The legacy kernel is the same
  * baseline for every backend — the gate is a regression tripwire for
  * the registered hot paths, not a like-for-like bandwidth comparison.
  */
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -72,6 +77,7 @@ struct ContextResult
     double paged_gather_ms; //!< reference backend over pages; -1 = skipped
     double paged_fused_ms;  //!< fused-paged backend, in place
     double scalar_twin_ms;  //!< scalar twin of a SIMD backend; -1 = N/A
+    double prefill_ms;      //!< median HeadDecoder::prefill of the context
 };
 
 /** The scalar twin of a SIMD sibling name; empty for non-siblings. */
@@ -122,6 +128,17 @@ runContext(const backend::AttentionBackend& be, int context, bool smoke,
     }
 
     const int reps = context <= 4096 ? 20 : (context <= 32768 ? 5 : 3);
+    std::vector<double> prefill_ms;
+    for (int i = 0; i < reps; i++) {
+        core::HeadDecoder dec(d, core::BitDecodingConfig{});
+        const double t0 = nowMs();
+        dec.prefill(fx.keys(), fx.values());
+        prefill_ms.push_back(nowMs() - t0);
+    }
+    std::nth_element(prefill_ms.begin(), prefill_ms.begin() + reps / 2,
+                     prefill_ms.end());
+    r.prefill_ms = prefill_ms[static_cast<std::size_t>(reps / 2)];
+
     backend::DecodeBatch b = fx.batch();
     b.scale = scale;
     r.fused_ms_t1 = timeMs(reps, [&] { be.decodeStep(b); });
@@ -227,6 +244,11 @@ main(int argc, char** argv)
                         r.scalar_twin_ms / r.fused_ms_t1},
                        "%10.3f");
     }
+    bench::section("prefill: HeadDecoder::prefill (KC-4, median)");
+    bench::head("context", {"prefill_ms"});
+    for (const ContextResult& r : results)
+        bench::row(std::to_string(r.context / 1024) + "K", {r.prefill_ms},
+                   "%10.3f");
     bench::section("paged: fused-paged in place vs reference gather "
                    "(1 thread)");
     bench::head("context", {"gather", "fused"});
@@ -290,11 +312,12 @@ main(int argc, char** argv)
             "     \"speedup_vs_legacy_1t\": %.2f, "
             "\"scaling_1t_to_8t\": %.2f,\n"
             "     %s,\n"
-            "     \"paged_gather_ms\": %s, \"paged_fused_ms\": %.4f}%s\n",
+            "     \"paged_gather_ms\": %s, \"paged_fused_ms\": %.4f, "
+            "\"prefill_ms\": %.4f}%s\n",
             r.context, r.legacy_ms, r.legacy_estimated ? "true" : "false",
             r.fused_ms_t1, r.fused_ms_t4, r.fused_ms_t8,
             r.legacy_ms / r.fused_ms_t1, r.fused_ms_t1 / r.fused_ms_t8,
-            twin, gather, r.paged_fused_ms,
+            twin, gather, r.paged_fused_ms, r.prefill_ms,
             i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

@@ -17,6 +17,11 @@
  * bit-identical bytes to dequantBlock, since code extraction and table
  * lookup are integer-exact under any order.
  *
+ * The plan is used for packing as well as dequant: the quantize-pack
+ * kernel (KernelTable::quantize_pack) writes each code at the
+ * (unit, shift) the plan reads it from, so packing is the exact inverse
+ * of the linear dequant by construction.
+ *
  * A destination remap hook lets the key plan target a channel-major
  * [d x Nr] scratch (what the vectorized QK loop wants) while reusing the
  * token-major routes the cache already builds; the remap is pure index

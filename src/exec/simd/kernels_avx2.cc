@@ -28,6 +28,21 @@ struct VecAvx2
     static void store(float* p, F v) { _mm256_storeu_ps(p, v); }
     static F mul(F a, F b) { return _mm256_mul_ps(a, b); }
     static F add(F a, F b) { return _mm256_add_ps(a, b); }
+    static F sub(F a, F b) { return _mm256_sub_ps(a, b); }
+    static F div(F a, F b) { return _mm256_div_ps(a, b); }
+    static F min(F a, F b) { return _mm256_min_ps(a, b); }
+    static F max(F a, F b) { return _mm256_max_ps(a, b); }
+    static F absF(F a) { return _mm256_andnot_ps(_mm256_set1_ps(-0.f), a); }
+    static F
+    trunc(F a)
+    {
+        return _mm256_round_ps(a, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    }
+    static F
+    blendGe(F a, F b, F x, F y)
+    {
+        return _mm256_blendv_ps(y, x, _mm256_cmp_ps(a, b, _CMP_GE_OQ));
+    }
 
     static I loadI(const std::uint32_t* p)
     {
@@ -49,6 +64,18 @@ struct VecAvx2
     {
         return _mm256_i32gather_ps(base, idx, 4);
     }
+
+    static void
+    narrowWiden(float* f, Half* h)
+    {
+        const __m128i hv = _mm256_cvtps_ph(
+            _mm256_loadu_ps(f), _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(h), hv);
+        _mm256_storeu_ps(f, _mm256_cvtph_ps(hv));
+    }
+
+    static constexpr auto widenRows = impl::convertRowsF16c;
+    static constexpr auto widenTranspose = impl::convertTransposeF16c;
 };
 
 const KernelTable kTable = {
@@ -56,6 +83,7 @@ const KernelTable kTable = {
     impl::convertTransposeF16c,
     impl::foldTileImpl<VecAvx2>,
     impl::dequantLinearImpl<VecAvx2>,
+    impl::quantizePackImpl<VecAvx2>,
 };
 
 } // namespace

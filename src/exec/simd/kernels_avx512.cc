@@ -25,12 +25,35 @@ struct VecAvx512
     using F = __m512;
     using I = __m512i;
 
+    // Ops whose plain form merges into _mm512_undefined_*() (which gcc 12
+    // reports -Wmaybe-uninitialized once inlined) use the zero-masked or
+    // zero-source form with every lane enabled: same instruction, same
+    // result.
+    static constexpr __mmask16 kAll = 0xFFFF;
+
     static F zero() { return _mm512_setzero_ps(); }
     static F broadcast(float x) { return _mm512_set1_ps(x); }
     static F load(const float* p) { return _mm512_loadu_ps(p); }
     static void store(float* p, F v) { _mm512_storeu_ps(p, v); }
     static F mul(F a, F b) { return _mm512_mul_ps(a, b); }
     static F add(F a, F b) { return _mm512_add_ps(a, b); }
+    static F sub(F a, F b) { return _mm512_sub_ps(a, b); }
+    static F div(F a, F b) { return _mm512_div_ps(a, b); }
+    static F min(F a, F b) { return _mm512_maskz_min_ps(kAll, a, b); }
+    static F max(F a, F b) { return _mm512_maskz_max_ps(kAll, a, b); }
+    static F absF(F a) { return _mm512_abs_ps(a); }
+    static F
+    trunc(F a)
+    {
+        return _mm512_maskz_roundscale_ps(
+            kAll, a, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    }
+    static F
+    blendGe(F a, F b, F x, F y)
+    {
+        return _mm512_mask_blend_ps(_mm512_cmp_ps_mask(a, b, _CMP_GE_OQ), y,
+                                    x);
+    }
 
     static I loadI(const std::uint32_t* p) { return _mm512_loadu_si512(p); }
     static I broadcastI(std::uint32_t x)
@@ -39,15 +62,35 @@ struct VecAvx512
     }
     static I andI(I a, I b) { return _mm512_and_si512(a, b); }
     static I orI(I a, I b) { return _mm512_or_si512(a, b); }
-    static I srlv(I a, I count) { return _mm512_srlv_epi32(a, count); }
+    static I
+    srlv(I a, I count)
+    {
+        return _mm512_maskz_srlv_epi32(kAll, a, count);
+    }
     static I gatherI(const std::uint32_t* base, I idx)
     {
-        return _mm512_i32gather_epi32(idx, base, 4);
+        return _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), kAll, idx,
+                                           base, 4);
     }
     static F gatherF(const float* base, I idx)
     {
-        return _mm512_i32gather_ps(idx, base, 4);
+        return _mm512_mask_i32gather_ps(_mm512_setzero_ps(), kAll, idx, base,
+                                        4);
     }
+
+    static void
+    narrowWiden(float* f, Half* h)
+    {
+        const __m256i hv =
+            _mm512_maskz_cvtps_ph(kAll, _mm512_loadu_ps(f),
+                                  _MM_FROUND_TO_NEAREST_INT |
+                                      _MM_FROUND_NO_EXC);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(h), hv);
+        _mm512_storeu_ps(f, _mm512_maskz_cvtph_ps(kAll, hv));
+    }
+
+    static constexpr auto widenRows = impl::convertRowsF16c;
+    static constexpr auto widenTranspose = impl::convertTransposeF16c;
 };
 
 const KernelTable kTable = {
@@ -55,6 +98,7 @@ const KernelTable kTable = {
     impl::convertTransposeF16c,
     impl::foldTileImpl<VecAvx512>,
     impl::dequantLinearImpl<VecAvx512>,
+    impl::quantizePackImpl<VecAvx512>,
 };
 
 } // namespace

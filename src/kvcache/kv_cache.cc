@@ -3,59 +3,10 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "exec/simd/dispatch.h"
 #include "quant/fast_dequant.h"
 
 namespace bitdec::kv {
-
-namespace {
-
-/** Transposes a [rows x cols] half matrix. */
-Tensor<std::uint8_t>
-transposeCodes(const Tensor<std::uint8_t>& m)
-{
-    Tensor<std::uint8_t> out({m.dim(1), m.dim(0)});
-    for (std::size_t r = 0; r < m.dim(0); r++)
-        for (std::size_t c = 0; c < m.dim(1); c++)
-            out.at(c, r) = m.at(r, c);
-    return out;
-}
-
-/**
- * Builds a block's per-group dequantized-value table: for every parameter
- * group (flat order of the params tensor) the 2^bits values the magic-FMA
- * fast path produces. One table lookup then replaces the per-element
- * dequantization on the CPU hot path, bit-exactly.
- */
-/** Fills the block's float mirror of dequant_lut (same indexing, values
- *  widened through the global Half LUT — bit-identical at use). */
-void
-widenDequantLut(kv::PackedBlock& blk)
-{
-    blk.dequant_lut_f32.resize(blk.dequant_lut.size());
-    toFloat(blk.dequant_lut.data(), blk.dequant_lut_f32.data(),
-            blk.dequant_lut.size());
-}
-
-std::vector<Half>
-buildDequantLut(const Tensor<Half2>& params, int bits)
-{
-    const int levels = 1 << bits;
-    std::vector<Half> lut(params.numel() * static_cast<std::size_t>(levels));
-    for (std::size_t g = 0; g < params.numel(); g++) {
-        const quant::QuantParams p = quant::QuantParams::fromHalf2(params[g]);
-        for (int q = 0; q < levels; q++) {
-            // dequantMagicValue is Half-rounded by construction, so the
-            // narrowing store is lossless.
-            lut[g * static_cast<std::size_t>(levels) +
-                static_cast<std::size_t>(q)] =
-                Half(quant::dequantMagicValue(static_cast<std::uint8_t>(q),
-                                              p));
-        }
-    }
-    return lut;
-}
-
-} // namespace
 
 Fp16HeadCache::Fp16HeadCache(int head_dim) : head_dim_(head_dim)
 {
@@ -118,7 +69,8 @@ PackedHeadCache::PackedHeadCache(int head_dim, const quant::QuantConfig& config,
       k_layout_(tiling, config.bits, head_dim, nr_),
       v_layout_(tiling, config.bits, nr_, head_dim),
       k_res_({static_cast<std::size_t>(nr_), static_cast<std::size_t>(head_dim)}),
-      v_res_({static_cast<std::size_t>(nr_), static_cast<std::size_t>(head_dim)})
+      v_res_({static_cast<std::size_t>(nr_), static_cast<std::size_t>(head_dim)}),
+      kt_(&exec::simd::requireKernels(exec::simd::enabledLevelCap()))
 {
     BITDEC_ASSERT(head_dim % tiling.pk() == 0,
                   "head_dim must be a multiple of the MMA K extent");
@@ -183,15 +135,21 @@ PackedHeadCache::append(const std::vector<Half>& k, const std::vector<Half>& v)
     BITDEC_ASSERT(static_cast<int>(k.size()) == head_dim_ &&
                   static_cast<int>(v.size()) == head_dim_,
                   "K/V vector length must equal head_dim");
-    for (int d = 0; d < head_dim_; d++) {
-        k_res_.at(static_cast<std::size_t>(res_len_),
-                  static_cast<std::size_t>(d)) = k[static_cast<std::size_t>(d)];
-        v_res_.at(static_cast<std::size_t>(res_len_),
-                  static_cast<std::size_t>(d)) = v[static_cast<std::size_t>(d)];
-    }
+    appendRow(k.data(), v.data());
+}
+
+void
+PackedHeadCache::appendRow(const Half* k, const Half* v)
+{
+    const std::size_t d = static_cast<std::size_t>(head_dim_);
+    const std::size_t at = static_cast<std::size_t>(res_len_) * d;
+    std::copy(k, k + d, k_res_.data() + at);
+    std::copy(v, v + d, v_res_.data() + at);
     res_len_++;
-    if (res_len_ == nr_)
-        packResidual();
+    if (res_len_ == nr_) {
+        packRows(k_res_.data(), v_res_.data());
+        res_len_ = 0;
+    }
 }
 
 void
@@ -201,28 +159,28 @@ PackedHeadCache::prefill(const Tensor<Half>& k, const Tensor<Half>& v)
                   static_cast<int>(k.dim(1)) == head_dim_ &&
                   static_cast<int>(v.dim(1)) == head_dim_,
                   "prefill tensors must be [len x head_dim]");
-    std::vector<Half> kv(static_cast<std::size_t>(head_dim_));
-    std::vector<Half> vv(static_cast<std::size_t>(head_dim_));
-    for (std::size_t t = 0; t < k.dim(0); t++) {
-        for (int d = 0; d < head_dim_; d++) {
-            kv[static_cast<std::size_t>(d)] =
-                k.at(t, static_cast<std::size_t>(d));
-            vv[static_cast<std::size_t>(d)] =
-                v.at(t, static_cast<std::size_t>(d));
-        }
-        append(kv, vv);
-    }
+    const std::size_t len = k.dim(0);
+    const std::size_t d = static_cast<std::size_t>(head_dim_);
+    const std::size_t nr = static_cast<std::size_t>(nr_);
+    std::size_t t = 0;
+    // Top up a partly filled residual first, so later blocks start on a
+    // block boundary; then pack whole blocks straight from the input.
+    for (; res_len_ != 0 && t < len; t++)
+        appendRow(k.data() + t * d, v.data() + t * d);
+    for (; t + nr <= len; t += nr)
+        packRows(k.data() + t * d, v.data() + t * d);
+    for (; t < len; t++)
+        appendRow(k.data() + t * d, v.data() + t * d);
 }
 
 void
-PackedHeadCache::packResidual()
+PackedHeadCache::packRows(const Half* k, const Half* v)
 {
     PackedBlock kb, vb;
-    packBlock(k_res_, v_res_, config_, k_layout_, v_layout_, kb, vb);
+    packBlock(*kt_, *this, k, v, kb, vb);
     k_blocks_.push_back(std::move(kb));
     v_blocks_.push_back(std::move(vb));
     packed_tokens_ += nr_;
-    res_len_ = 0;
 }
 
 double
@@ -316,30 +274,49 @@ PackedHeadCache::dequantizeAll(Tensor<Half>& k_out, Tensor<Half>& v_out) const
 }
 
 void
-packBlock(const Tensor<Half>& k_block, const Tensor<Half>& v_block,
-          const quant::QuantConfig& config,
-          const layout::InducedLayout& k_layout,
-          const layout::InducedLayout& v_layout, PackedBlock& k_out,
+packBlock(const exec::simd::KernelTable& kt, const PackedHeadCache& cache,
+          const Half* k_rows, const Half* v_rows, PackedBlock& k_out,
           PackedBlock& v_out)
 {
-    // Quantize in K-natural [Nr x d] coordinates. TensorWise groups run
-    // along the hidden dimension, ChannelWise along the token dimension.
-    const quant::QuantizedMatrix kq = quant::quantizeMatrix(
-        k_block, config.bits, config.key_granularity, config.group_size);
-    // Values always use tensor-wise scaling (Section V-C).
-    const quant::QuantizedMatrix vq = quant::quantizeMatrix(
-        v_block, config.bits, quant::Granularity::TensorWise,
-        config.group_size);
+    const quant::QuantConfig& qc = cache.config();
+    const int d = cache.headDim();
+    const int nr = cache.residualBlockSize();
+    const std::size_t n =
+        static_cast<std::size_t>(nr) * static_cast<std::size_t>(d);
+    const std::size_t gs = static_cast<std::size_t>(qc.group_size);
+    BITDEC_ASSERT(static_cast<std::size_t>(d) % gs == 0 &&
+                      static_cast<std::size_t>(nr) % gs == 0,
+                  "group size ", qc.group_size,
+                  " must divide head_dim and the block size");
+    thread_local std::vector<float> scratch;
+    scratch.resize(exec::simd::quantizePackScratch(nr, d, qc.group_size));
 
-    // Keys feed Q*K^T as the B operand, so codes pack transposed.
-    k_out.units = packInduced(k_layout, transposeCodes(kq.codes));
-    k_out.params = kq.params;
-    v_out.units = packInduced(v_layout, vq.codes);
-    v_out.params = vq.params;
-    k_out.dequant_lut = buildDequantLut(k_out.params, config.bits);
-    v_out.dequant_lut = buildDequantLut(v_out.params, config.bits);
-    widenDequantLut(k_out);
-    widenDequantLut(v_out);
+    // Keys feed Q*K^T as the B operand, so their plan indexes a
+    // channel-major tile; values (always tensor-wise, Section V-C) a
+    // token-major one.
+    const bool kc = qc.key_granularity == quant::Granularity::ChannelWise;
+    const auto pack = [&](const Half* rows, bool group_tokens,
+                          const exec::simd::LinearDequantPlan& plan,
+                          bool channel_major, PackedBlock& out) {
+        out.units.resize(n * static_cast<std::size_t>(qc.bits) / 32);
+        if (group_tokens)
+            out.params.reset({static_cast<std::size_t>(nr) / gs,
+                              static_cast<std::size_t>(d)});
+        else
+            out.params.reset({static_cast<std::size_t>(nr),
+                              static_cast<std::size_t>(d) / gs});
+        const std::size_t lut_n =
+            (n / gs) * static_cast<std::size_t>(qc.levels());
+        out.dequant_lut.resize(lut_n);
+        out.dequant_lut_f32.resize(lut_n);
+        kt.quantize_pack(rows, nr, d, qc.bits, qc.group_size, group_tokens,
+                         plan.unit.data(), plan.shift.data(),
+                         plan.param.data(), channel_major, out.units.data(),
+                         out.params.data(), out.dequant_lut.data(),
+                         out.dequant_lut_f32.data(), scratch.data());
+    };
+    pack(k_rows, kc, cache.keyLinearPlan(), true, k_out);
+    pack(v_rows, false, cache.valueLinearPlan(), false, v_out);
 }
 
 } // namespace bitdec::kv

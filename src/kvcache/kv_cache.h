@@ -19,6 +19,7 @@
 #include "common/tensor.h"
 #include "exec/dequant_plan.h"
 #include "exec/simd/dequant_linear.h"
+#include "exec/simd/kernel_table.h"
 #include "layout/induced_layout.h"
 #include "layout/tile.h"
 #include "quant/int_quant.h"
@@ -93,7 +94,9 @@ struct PackedBlock
  * Tokens enter the FP16 residual buffer; every time the residual reaches
  * Nr tokens the block is handed to the Residual Kernel path: quantized
  * (key granularity per config, values tensor-wise), packed through the
- * induced layout, and appended to the packed region.
+ * induced layout, and appended to the packed region. Packing runs on the
+ * kernel table of the host's enabled SIMD level (BITDEC_SIMD caps it),
+ * resolved once at construction; every level writes the same bytes.
  */
 class PackedHeadCache
 {
@@ -109,7 +112,12 @@ class PackedHeadCache
     /** Appends one token; may trigger packing of a full residual block. */
     void append(const std::vector<Half>& k, const std::vector<Half>& v);
 
-    /** Bulk-loads a prefill context, packing all complete blocks. */
+    /**
+     * Bulk-loads a prefill context: tops up a partly filled residual,
+     * packs every following full block straight from the input rows,
+     * and keeps the tail in the residual. Same state as appending the
+     * rows one by one.
+     */
     void prefill(const Tensor<Half>& k, const Tensor<Half>& v);
 
     /** Total tokens (packed + residual). */
@@ -196,7 +204,11 @@ class PackedHeadCache
     void dequantizeAll(Tensor<Half>& k_out, Tensor<Half>& v_out) const;
 
   private:
-    void packResidual();
+    /** Appends one token row; packs the residual when it fills. */
+    void appendRow(const Half* k, const Half* v);
+
+    /** Packs Nr token rows of K and V into the next block. */
+    void packRows(const Half* k, const Half* v);
 
     int head_dim_;
     quant::QuantConfig config_;
@@ -219,20 +231,23 @@ class PackedHeadCache
     Tensor<Half> k_res_; //!< [Nr x d]
     Tensor<Half> v_res_;
     int res_len_ = 0;
+
+    const exec::simd::KernelTable* kt_; //!< packs every block
 };
 
 /**
- * Quantizes one residual block (k_block [Nr x d], v_block [Nr x d]) the way
- * the Residual Kernel does and packs it through the induced layouts.
- * Exposed for tests and for the Residual Kernel implementation.
+ * Quantizes one Nr-token block the way the Residual Kernel does and packs
+ * it through @p cache's induced layouts, in one pass on kernel table
+ * @p kt (every level writes the same bytes). PackedHeadCache packs
+ * every block through it; exposed for tests.
  *
  * Keys are packed as the B operand of Q*K^T, i.e. transposed to [d x Nr];
  * values as the B operand of P*V, i.e. [Nr x d].
+ *
+ * @param k_rows,v_rows token-major [Nr x d] rows
  */
-void packBlock(const Tensor<Half>& k_block, const Tensor<Half>& v_block,
-               const quant::QuantConfig& config,
-               const layout::InducedLayout& k_layout,
-               const layout::InducedLayout& v_layout, PackedBlock& k_out,
+void packBlock(const exec::simd::KernelTable& kt, const PackedHeadCache& cache,
+               const Half* k_rows, const Half* v_rows, PackedBlock& k_out,
                PackedBlock& v_out);
 
 } // namespace bitdec::kv

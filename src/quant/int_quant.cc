@@ -22,7 +22,12 @@ computeParams(float min_val, float max_val, int bits)
     // The zero-point is NOT clamped to [0, qmax]: ranges that exclude
     // zero (possible for attention keys) put it outside, and clamping
     // would shear the whole group.
-    const Half hscale(scale);
+    Half hscale(scale);
+    // A range too narrow for half underflows the scale to zero, and the
+    // zero point -min/0 to NaN; the smallest positive half keeps the
+    // params finite within about one step of the true scale.
+    if (hscale.bits() == 0)
+        hscale = Half::fromBits(1);
     const Half hzero(std::round(-min_val / hscale.toFloat()));
     return {hscale, hzero};
 }
@@ -33,6 +38,8 @@ quantizeValue(float x, const QuantParams& p, int bits)
     const float qmax = static_cast<float>((1 << bits) - 1);
     const float q =
         std::round(x / p.scale.toFloat()) + p.zero.toFloat();
+    if (std::isnan(q))
+        return 0;
     return static_cast<std::uint8_t>(std::clamp(q, 0.0f, qmax));
 }
 

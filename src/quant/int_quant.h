@@ -23,7 +23,8 @@ namespace bitdec::quant {
 /** Derives quantization parameters from a group's min/max. */
 QuantParams computeParams(float min_val, float max_val, int bits);
 
-/** Quantizes one value; parameters are in half precision. */
+/** Quantizes one value; parameters are in half precision. A NaN
+ *  quantizes to code 0. */
 std::uint8_t quantizeValue(float x, const QuantParams& p, int bits);
 
 /** Dequantizes one value exactly as the device FMA does. */

@@ -6,7 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "attention/flash_decoding.h"
 #include "attention/qserve_baseline.h"
@@ -262,32 +265,121 @@ TEST(CoopSoftmax, SingleWarpNeedsNoCooperation)
             EXPECT_NEAR(res.out.at(g, c), want.at(g, c), 2e-2f);
 }
 
+/** Row @p t of a [len x d] tensor as a token vector. */
+std::vector<Half>
+rowOf(const Tensor<Half>& m, int t)
+{
+    const Half* r = m.data() + static_cast<std::size_t>(t) * m.dim(1);
+    return std::vector<Half>(r, r + m.dim(1));
+}
+
+/** Rows [from, to) of a [len x d] tensor. */
+Tensor<Half>
+rowsOf(const Tensor<Half>& m, int from, int to)
+{
+    Tensor<Half> out({static_cast<std::size_t>(to - from), m.dim(1)});
+    std::copy(m.data() + static_cast<std::size_t>(from) * m.dim(1),
+              m.data() + static_cast<std::size_t>(to) * m.dim(1),
+              out.data());
+    return out;
+}
+
+/** Byte equality of two packed caches: every block's units, params and
+ *  both LUTs, and the live residual rows. */
+void
+expectSameCache(const kv::PackedHeadCache& a, const kv::PackedHeadCache& b,
+                const std::string& what)
+{
+    ASSERT_EQ(a.packedTokens(), b.packedTokens()) << what;
+    ASSERT_EQ(a.residualLength(), b.residualLength()) << what;
+    const auto same = [](const auto& x, const auto& y, std::size_t n,
+                         std::size_t elem) {
+        return std::memcmp(x, y, n * elem) == 0;
+    };
+    for (const auto& [ba, bb] :
+         {std::pair{&a.keyBlocks(), &b.keyBlocks()},
+          std::pair{&a.valueBlocks(), &b.valueBlocks()}}) {
+        ASSERT_EQ(ba->size(), bb->size()) << what;
+        for (std::size_t i = 0; i < ba->size(); i++) {
+            const kv::PackedBlock& x = (*ba)[i];
+            const kv::PackedBlock& y = (*bb)[i];
+            EXPECT_EQ(x.units, y.units) << what << " block " << i;
+            ASSERT_EQ(x.params.numel(), y.params.numel()) << what;
+            ASSERT_EQ(x.dequant_lut.size(), y.dequant_lut.size()) << what;
+            EXPECT_TRUE(same(x.params.data(), y.params.data(),
+                             x.params.numel(), 4))
+                << what << " block " << i;
+            EXPECT_TRUE(same(x.dequant_lut.data(), y.dequant_lut.data(),
+                             x.dequant_lut.size(), 2))
+                << what << " block " << i;
+            EXPECT_TRUE(same(x.dequant_lut_f32.data(),
+                             y.dequant_lut_f32.data(), x.dequant_lut.size(),
+                             4))
+                << what << " block " << i;
+        }
+    }
+    const std::size_t live =
+        static_cast<std::size_t>(a.residualLength()) *
+        static_cast<std::size_t>(a.headDim());
+    EXPECT_TRUE(same(a.residualKeys().data(), b.residualKeys().data(), live,
+                     2))
+        << what;
+    EXPECT_TRUE(same(a.residualValues().data(), b.residualValues().data(),
+                     live, 2))
+        << what;
+}
+
 TEST(HeadDecoder, StreamingAppendMatchesPrefill)
 {
+    // Prefill packs whole blocks straight from its input; the cache must
+    // hold exactly the bytes of appending the same rows one at a time,
+    // across block boundaries and after a partly filled residual.
     BitDecodingConfig cfg;
     const int d = 64;
-    HeadDecoder a(d, cfg), b(d, cfg);
+    const int nr = HeadDecoder(d, cfg).cache().residualBlockSize();
     Rng rng(106);
-    const int len = a.cache().residualBlockSize() + 13;
-    Tensor<Half> k, v;
-    makeKv(rng, len, d, k, v);
-    a.prefill(k, v);
-    for (int t = 0; t < len; t++) {
-        std::vector<Half> kt(static_cast<std::size_t>(d)),
-            vt(static_cast<std::size_t>(d));
-        for (int c = 0; c < d; c++) {
-            kt[static_cast<std::size_t>(c)] =
-                k.at(static_cast<std::size_t>(t), static_cast<std::size_t>(c));
-            vt[static_cast<std::size_t>(c)] =
-                v.at(static_cast<std::size_t>(t), static_cast<std::size_t>(c));
+    for (int pre : {0, 5}) {
+        for (int len : {0, nr - 1, nr, nr + 1, 3 * nr + 5}) {
+            HeadDecoder a(d, cfg), b(d, cfg);
+            Tensor<Half> k, v;
+            makeKv(rng, pre + len, d, k, v);
+            for (int t = 0; t < pre; t++) {
+                a.appendToken(rowOf(k, t), rowOf(v, t));
+                b.appendToken(rowOf(k, t), rowOf(v, t));
+            }
+            a.prefill(rowsOf(k, pre, pre + len), rowsOf(v, pre, pre + len));
+            for (int t = pre; t < pre + len; t++)
+                b.appendToken(rowOf(k, t), rowOf(v, t));
+            expectSameCache(a.cache(), b.cache(),
+                            "pre=" + std::to_string(pre) +
+                                " len=" + std::to_string(len));
+            if (len == nr + 1) {
+                Tensor<Half> q({4, static_cast<std::size_t>(d)});
+                randomize(q, rng);
+                const auto ra = a.decodeStep(q, 0.125f);
+                const auto rb = b.decodeStep(q, 0.125f);
+                EXPECT_LT(attn::maxAbsDiff(ra.out, rb.out), 1e-6f);
+            }
         }
-        b.appendToken(kt, vt);
     }
+
+    // Keys all zero but one smallest subnormal: that key group's range
+    // underflows a half scale. Attention is uniform and every channel's
+    // values are half 0 and half 0.5, so every output is about 0.25 —
+    // not NaN.
+    Tensor<Half> k({256, static_cast<std::size_t>(d)}),
+        v({256, static_cast<std::size_t>(d)});
+    k.at(7, 3) = Half::fromBits(1);
+    for (std::size_t t = 0; t < 256; t++)
+        for (std::size_t c = 0; c < static_cast<std::size_t>(d); c++)
+            v.at(t, c) = Half((t + c) % 2 == 0 ? 0.f : 0.5f);
+    HeadDecoder dec(d, cfg);
+    dec.prefill(k, v);
     Tensor<Half> q({4, static_cast<std::size_t>(d)});
     randomize(q, rng);
-    const auto ra = a.decodeStep(q, 0.125f);
-    const auto rb = b.decodeStep(q, 0.125f);
-    EXPECT_LT(attn::maxAbsDiff(ra.out, rb.out), 1e-6f);
+    const Tensor<float> out = dec.fusedDecodeStep(q, 0.125f);
+    for (std::size_t i = 0; i < out.numel(); i++)
+        ASSERT_NEAR(out[i], 0.25f, 1e-3f) << i;
 }
 
 // ------------------------------------------------------------- MX path ----

@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "core/residual_kernel.h"
+#include "exec/simd/dispatch.h"
 #include "kvcache/kv_cache.h"
 #include "kvcache/paged_cache.h"
 #include "layout/induced_layout.h"
@@ -287,6 +288,13 @@ TEST(PackedCache, MemorySmallerThanFp16)
 
 // -------------------------------------------- residual kernel induction ----
 
+/** The table this host packs with (BITDEC_SIMD caps it). */
+const exec::simd::KernelTable&
+packKernels()
+{
+    return exec::simd::requireKernels(exec::simd::enabledLevelCap());
+}
+
 TEST(ResidualKernel, WarpPackMatchesCanonicalPackBytesKC4)
 {
     // THE layout-induction theorem, executable: per-lane fragment packing
@@ -309,8 +317,10 @@ TEST(ResidualKernel, WarpPackMatchesCanonicalPackBytesKC4)
         vb[i] = Half(rng.normal());
     }
 
+    const kv::PackedHeadCache cache(d, qc, tiling);
     kv::PackedBlock canon_k, canon_v;
-    kv::packBlock(kb, vb, qc, klay, vlay, canon_k, canon_v);
+    kv::packBlock(packKernels(), cache, kb.data(), vb.data(), canon_k,
+                  canon_v);
 
     const kv::PackedBlock warp_k =
         core::residualKernelPackKeys(kb, qc, klay);
@@ -343,8 +353,10 @@ TEST(ResidualKernel, WarpPackMatchesCanonicalPackBytesKT2)
         kb[i] = Half(rng.normal());
         vb[i] = Half(rng.normal());
     }
+    const kv::PackedHeadCache cache(d, qc, tiling);
     kv::PackedBlock canon_k, canon_v;
-    kv::packBlock(kb, vb, qc, klay, vlay, canon_k, canon_v);
+    kv::packBlock(packKernels(), cache, kb.data(), vb.data(), canon_k,
+                  canon_v);
     EXPECT_EQ(core::residualKernelPackKeys(kb, qc, klay).units,
               canon_k.units);
     EXPECT_EQ(core::residualKernelPackValues(vb, qc, vlay).units,

@@ -32,6 +32,109 @@ namespace {
 
 // ---------------------------------------------- layout induction sweeps ----
 
+using exec::simd::Level;
+
+/** Supported kernel tables of this host (scalar always), with their
+ *  level names. */
+std::vector<std::pair<const exec::simd::KernelTable*, const char*>>
+supportedKernelTables()
+{
+    std::vector<std::pair<const exec::simd::KernelTable*, const char*>> out;
+    for (Level l : {Level::Scalar, Level::Avx2, Level::Avx512})
+        if (exec::simd::levelSupported(l))
+            out.emplace_back(exec::simd::kernels(l), exec::simd::toString(l));
+    return out;
+}
+
+/** Float bit patterns match (the definition of "bit-exact"). */
+bool
+sameBits(float a, float b)
+{
+    std::uint32_t ba, bb;
+    std::memcpy(&ba, &a, 4);
+    std::memcpy(&bb, &b, 4);
+    return ba == bb;
+}
+
+/** Code @p i (plan destination order) of a packed block. */
+unsigned
+codeAt(const kv::PackedBlock& b, const exec::simd::LinearDequantPlan& plan,
+       std::size_t i)
+{
+    return (b.units[plan.unit[i]] >> plan.shift[i]) & ((1u << plan.bits) - 1);
+}
+
+/**
+ * A random [nr x d] block; with @p edges it also holds a constant group,
+ * zero-excluding groups, +-65504, an all-subnormal token and channel, a
+ * NaN first in its groups, and one +inf and one -inf.
+ */
+Tensor<Half>
+sweepBlock(Rng& rng, int nr, int d, int gs, bool edges)
+{
+    Tensor<Half> b({static_cast<std::size_t>(nr), static_cast<std::size_t>(d)});
+    for (std::size_t i = 0; i < b.numel(); i++)
+        b[i] = Half(rng.normal());
+    if (!edges)
+        return b;
+    const auto at = [&](int t, int c) -> Half& {
+        return b.at(static_cast<std::size_t>(t), static_cast<std::size_t>(c));
+    };
+    // gs x gs squares are whole groups under both granularities.
+    const int tb = nr / gs > 1 ? gs : 0;
+    for (int t = 0; t < gs; t++)
+        for (int c = 0; c < gs; c++) {
+            at(tb + t, c) = Half(0.75f);
+            at(t, gs + c) = Half(100.f + std::fabs(rng.normal()));
+        }
+    for (int c = 0; c < d; c++)
+        at(nr - 1, c) = Half::fromBits(static_cast<std::uint16_t>(
+            1 + rng.uniformInt(0x3FF)));
+    for (int t = 0; t < nr; t++)
+        at(t, d - 1) = Half::fromBits(static_cast<std::uint16_t>(
+            0x8000u | (1 + rng.uniformInt(0x3FF))));
+    at(1, 3) = Half(65504.f);
+    at(2, 3) = Half(-65504.f);
+    at(0, 0) = Half::fromBits(0x7E00); // NaN
+    at(nr / 2, d / 2) = Half::fromBits(0x7C00);     // +inf
+    at(nr / 2 + 1, d / 2 + 1) = Half::fromBits(0xFC00); // -inf
+    return b;
+}
+
+/** @p got packs like the oracle: same units and params, and both LUTs
+ *  hold quant::dequantMagicValue of every (group, code). */
+void
+expectPackedLikeOracle(const kv::PackedBlock& got,
+                       const kv::PackedBlock& oracle, int bits,
+                       const std::string& what)
+{
+    EXPECT_EQ(got.units, oracle.units) << what;
+    ASSERT_EQ(got.params.numel(), oracle.params.numel()) << what;
+    const std::size_t levels = std::size_t{1} << bits;
+    ASSERT_EQ(got.dequant_lut.size(), oracle.params.numel() * levels) << what;
+    ASSERT_EQ(got.dequant_lut_f32.size(), got.dequant_lut.size()) << what;
+    int mismatches = 0;
+    for (std::size_t g = 0; g < oracle.params.numel(); g++) {
+        if (got.params[g].toWord() != oracle.params[g].toWord() &&
+            ++mismatches < 4)
+            ADD_FAILURE() << what << " params of group " << g;
+        const quant::QuantParams p =
+            quant::QuantParams::fromHalf2(oracle.params[g]);
+        for (std::size_t q = 0; q < levels; q++) {
+            const Half want(quant::dequantMagicValue(
+                static_cast<std::uint8_t>(q), p));
+            const std::size_t i = g * levels + q;
+            if ((got.dequant_lut[i].bits() != want.bits() ||
+                 !sameBits(got.dequant_lut_f32[i],
+                           halfBitsToFloat(want.bits()))) &&
+                ++mismatches < 4)
+                ADD_FAILURE() << what << " LUT of group " << g << " code "
+                              << q;
+        }
+    }
+    EXPECT_EQ(mismatches, 0) << what;
+}
+
 struct TilingCase
 {
     sim::MmaShape mma;
@@ -46,8 +149,9 @@ class InductionSweepP : public ::testing::TestWithParam<TilingCase>
 TEST_P(InductionSweepP, ResidualBlockAlignsInducedLayout)
 {
     // Eq. 1's purpose as a property: for ANY (mma, wn, bits), a block of
-    // Nr tokens yields an induced layout with zero partial units, and the
-    // warp-emulated Residual-Kernel pack equals the canonical pack.
+    // Nr tokens yields an induced layout with zero partial units, and
+    // every SIMD level's one-pass pack equals the warp-emulated
+    // Residual-Kernel pack, KC and KT, on random and edge-case blocks.
     const auto [mma, wn, bits] = GetParam();
     layout::WarpTiling tiling;
     tiling.mma = mma;
@@ -63,22 +167,133 @@ TEST_P(InductionSweepP, ResidualBlockAlignsInducedLayout)
     EXPECT_EQ(static_cast<int>(vlay.numUnits()) * vlay.codesPerUnit(),
               d * nr);
 
+    Rng rng(GetParam().wn * 100 + bits);
+    for (const auto gran :
+         {quant::Granularity::ChannelWise, quant::Granularity::TensorWise}) {
+        for (int gs : {16, 32}) {
+            quant::QuantConfig qc;
+            qc.bits = bits;
+            qc.key_granularity = gran;
+            qc.group_size = gs;
+            const kv::PackedHeadCache cache(d, qc, tiling);
+            for (bool edges : {false, true}) {
+                const Tensor<Half> kb = sweepBlock(rng, nr, d, gs, edges);
+                const Tensor<Half> vb = sweepBlock(rng, nr, d, gs, edges);
+                const kv::PackedBlock wk =
+                    core::residualKernelPackKeys(kb, qc, klay);
+                const kv::PackedBlock wv =
+                    core::residualKernelPackValues(vb, qc, vlay);
+                for (const auto& [kt, name] : supportedKernelTables()) {
+                    kv::PackedBlock ck, cv;
+                    kv::packBlock(*kt, cache, kb.data(), vb.data(), ck, cv);
+                    const std::string what =
+                        std::string(name) + " " + qc.label() + " gs=" +
+                        std::to_string(gs) + (edges ? " edges" : "");
+                    expectPackedLikeOracle(ck, wk, bits, what + " K");
+                    expectPackedLikeOracle(cv, wv, bits, what + " V");
+                }
+            }
+        }
+    }
+}
+
+TEST_P(InductionSweepP, EveryHalfPatternQuantizesLikeQuantizeValue)
+{
+    // All 65536 binary16 patterns through every level's quantize-pack,
+    // in tensor-wise groups of 16 led by a (lo, hi) pin pair that sets
+    // the scale: huge, moderate, exact-power-of-two (every half-way tie
+    // of round-half-away-from-zero, both signs) and subnormal. Finite
+    // inputs code like quant::quantizeValue under the group's
+    // computeParams; every level writes the scalar level's bytes,
+    // non-finite inputs included.
+    const auto [mma, wn, bits] = GetParam();
+    layout::WarpTiling tiling;
+    tiling.mma = mma;
+    tiling.wn = wn;
+    const int d = 64, gs = 16;
     quant::QuantConfig qc;
     qc.bits = bits;
-    qc.key_granularity = quant::Granularity::ChannelWise;
-    qc.group_size = 16;
-
-    Rng rng(GetParam().wn * 100 + bits);
-    Tensor<Half> kb({static_cast<std::size_t>(nr), static_cast<std::size_t>(d)});
-    Tensor<Half> vb({static_cast<std::size_t>(nr), static_cast<std::size_t>(d)});
-    for (std::size_t i = 0; i < kb.numel(); i++) {
-        kb[i] = Half(rng.normal());
-        vb[i] = Half(rng.normal());
+    qc.key_granularity = quant::Granularity::TensorWise;
+    qc.group_size = gs;
+    const kv::PackedHeadCache cache(d, qc, tiling);
+    const int nr = cache.residualBlockSize();
+    const std::size_t n = static_cast<std::size_t>(nr) * d;
+    const float top = static_cast<float>((1 << bits) - 1) / 16.f;
+    const auto tables = supportedKernelTables();
+    for (const auto& [lo, hi] :
+         {std::pair{-65504.f, 65504.f}, std::pair{-1.f, 1.f},
+          std::pair{0.f, top}, std::pair{-top, 0.f},
+          std::pair{-std::ldexp(1.f, -14), std::ldexp(1.f, -14)}}) {
+        std::uint32_t pattern = 0;
+        while (pattern < 65536) {
+            Tensor<Half> blk({static_cast<std::size_t>(nr),
+                              static_cast<std::size_t>(d)});
+            for (std::size_t i = 0; i < n; i++) {
+                if (i % gs < 2)
+                    blk[i] = Half(i % gs == 0 ? lo : hi);
+                else
+                    blk[i] = Half::fromBits(
+                        static_cast<std::uint16_t>(pattern++ & 0xFFFF));
+            }
+            kv::PackedBlock sk, sv;
+            kv::packBlock(*tables[0].first, cache, blk.data(), blk.data(), sk,
+                          sv);
+            for (std::size_t l = 1; l < tables.size(); l++) {
+                kv::PackedBlock ck, cv;
+                kv::packBlock(*tables[l].first, cache, blk.data(), blk.data(),
+                              ck, cv);
+                for (const auto& [got, want] :
+                     {std::pair{&ck, &sk}, std::pair{&cv, &sv}}) {
+                    ASSERT_EQ(got->units, want->units) << tables[l].second;
+                    ASSERT_EQ(0, std::memcmp(got->params.data(),
+                                             want->params.data(),
+                                             want->params.numel() * 4))
+                        << tables[l].second;
+                    ASSERT_EQ(0, std::memcmp(got->dequant_lut.data(),
+                                             want->dequant_lut.data(),
+                                             want->dequant_lut.size() * 2))
+                        << tables[l].second;
+                    ASSERT_EQ(0, std::memcmp(got->dequant_lut_f32.data(),
+                                             want->dequant_lut_f32.data(),
+                                             want->dequant_lut_f32.size() * 4))
+                        << tables[l].second;
+                }
+            }
+            const auto& kp = cache.keyLinearPlan();
+            const auto& vp = cache.valueLinearPlan();
+            for (int t = 0; t < nr; t++) {
+                for (int g = 0; g < d / gs; g++) {
+                    const Half* x = blk.data() +
+                                    static_cast<std::size_t>(t) * d + g * gs;
+                    float mn = x[0].toFloat(), mx = mn;
+                    for (int i = 1; i < gs; i++) {
+                        mn = std::min(mn, x[i].toFloat());
+                        mx = std::max(mx, x[i].toFloat());
+                    }
+                    const quant::QuantParams p =
+                        quant::computeParams(mn, mx, bits);
+                    const std::size_t gi =
+                        static_cast<std::size_t>(t) * (d / gs) + g;
+                    ASSERT_EQ(sk.params[gi].toWord(), p.asHalf2().toWord());
+                    for (int i = 0; i < gs; i++) {
+                        if (!std::isfinite(x[i].toFloat()))
+                            continue;
+                        const unsigned want =
+                            quant::quantizeValue(x[i].toFloat(), p, bits);
+                        const int c = g * gs + i;
+                        ASSERT_EQ(codeAt(sk, kp,
+                                         static_cast<std::size_t>(c) * nr + t),
+                                  want)
+                            << "x=0x" << std::hex << x[i].bits();
+                        ASSERT_EQ(codeAt(sv, vp,
+                                         static_cast<std::size_t>(t) * d + c),
+                                  want)
+                            << "x=0x" << std::hex << x[i].bits();
+                    }
+                }
+            }
+        }
     }
-    kv::PackedBlock ck, cv;
-    kv::packBlock(kb, vb, qc, klay, vlay, ck, cv);
-    EXPECT_EQ(core::residualKernelPackKeys(kb, qc, klay).units, ck.units);
-    EXPECT_EQ(core::residualKernelPackValues(vb, qc, vlay).units, cv.units);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -339,30 +554,6 @@ TEST(ModelProperties, EveryModelRunsEverySystemAt4k)
 
 // ------------------------------------------------- SIMD bit-exactness ----
 
-using exec::simd::Level;
-
-/** Supported kernel tables of this host (scalar always), with their
- *  level names. */
-std::vector<std::pair<const exec::simd::KernelTable*, const char*>>
-supportedKernelTables()
-{
-    std::vector<std::pair<const exec::simd::KernelTable*, const char*>> out;
-    for (Level l : {Level::Scalar, Level::Avx2, Level::Avx512})
-        if (exec::simd::levelSupported(l))
-            out.emplace_back(exec::simd::kernels(l), exec::simd::toString(l));
-    return out;
-}
-
-/** Float bit patterns match (the definition of "bit-exact"). */
-bool
-sameBits(float a, float b)
-{
-    std::uint32_t ba, bb;
-    std::memcpy(&ba, &a, 4);
-    std::memcpy(&bb, &b, 4);
-    return ba == bb;
-}
-
 TEST(SimdProperties, ConvertRowsWidensEveryHalfPatternExactly)
 {
     // Exhaustive: all 65536 binary16 patterns — normals, denormals,
@@ -396,7 +587,7 @@ TEST(SimdProperties, ConvertTransposeMatchesLutAtOddShapes)
     const auto tables = supportedKernelTables();
     Rng rng(4242);
     for (const auto& [kt, name] : tables) {
-        for (const auto [tokens, d] : {std::pair{1, 37}, std::pair{13, 24},
+        for (const auto& [tokens, d] : {std::pair{1, 37}, std::pair{13, 24},
                                        std::pair{16, 16}, std::pair{23, 129}}) {
             std::vector<Half> src(static_cast<std::size_t>(tokens) * d);
             for (auto& h : src)

@@ -36,6 +36,15 @@ TEST(IntQuant, DegenerateConstantGroup)
     const QuantParams p = computeParams(3.0f, 3.0f, 4);
     const auto q = quantizeValue(3.0f, p, 4);
     EXPECT_NEAR(dequantizeValue(q, p), 3.0f, 2e-3f);
+
+    // A range narrower than half's smallest step: (2^-24 - 0) / 15
+    // rounds to a zero scale, which must not leave a NaN zero point.
+    const float tiny = std::ldexp(1.0f, -24);
+    const QuantParams t = computeParams(0.f, tiny, 4);
+    EXPECT_GT(t.scale.toFloat(), 0.f);
+    EXPECT_TRUE(std::isfinite(t.zero.toFloat()));
+    for (float x : {0.f, tiny})
+        EXPECT_NEAR(dequantizeValue(quantizeValue(x, t, 4), t), x, tiny);
 }
 
 TEST(IntQuant, RoundTripErrorBoundedByHalfStep)

@@ -53,8 +53,9 @@ TEST(SimdDispatch, SupportedLevelsAreMonotone)
 {
     // A supported level implies every lower one; the max is consistent.
     EXPECT_TRUE(exec::simd::levelSupported(Level::Scalar));
-    if (exec::simd::levelSupported(Level::Avx512))
+    if (exec::simd::levelSupported(Level::Avx512)) {
         EXPECT_TRUE(exec::simd::levelSupported(Level::Avx2));
+    }
     const Level max = exec::simd::maxSupportedLevel();
     EXPECT_TRUE(exec::simd::levelSupported(max));
 }
