@@ -14,7 +14,11 @@
  *
  * Every context also times HeadDecoder::prefill of its K/V on its own
  * (median over the repetitions, reported as prefill_ms, not gated): the
- * quantize/pack layer of the packed cache.
+ * quantize/pack layer of the packed cache. And it splits the packed
+ * decode step of one head on one thread into its two phases, for every
+ * kernel-table level this host supports (medians, not gated):
+ * dequant_ms runs dequant_linear over every K and V block, fold_ms runs
+ * fold_tile once per block over a dequantized tile.
  *
  * The legacy path at 128K is extrapolated linearly from 32K (it is
  * O(context) and already dominates the full-sweep runtime); the JSON
@@ -37,6 +41,7 @@
 #include "serving/options.h"
 #include "core/bitdecoding.h"
 #include "core/packing_kernel.h"
+#include "exec/fused_attention.h"
 #include "exec/simd/dispatch.h"
 #include "exec/thread_pool.h"
 
@@ -65,6 +70,91 @@ timeMs(int reps, Fn&& fn)
     return best;
 }
 
+/** The packed decode step of one head on one thread, by phase. */
+struct PhaseTimes
+{
+    const char* level;
+    double dequant_ms; //!< median: dequant_linear of every K and V block
+    double fold_ms;    //!< median: fold_tile once per block
+};
+
+/** Median of @p reps wall times of fn, in milliseconds. */
+template <typename Fn>
+double
+medianMs(int reps, Fn&& fn)
+{
+    std::vector<double> t;
+    for (int i = 0; i < reps; i++) {
+        const double t0 = nowMs();
+        fn();
+        t.push_back(nowMs() - t0);
+    }
+    std::nth_element(t.begin(), t.begin() + reps / 2, t.end());
+    return t[static_cast<std::size_t>(reps / 2)];
+}
+
+/**
+ * Times the two phases of the fused packed step on @p cache for every
+ * supported level: all blocks' dequant into the driver's scratch tiles,
+ * and one fold per block of a dequantized tile (with P rounding, as the
+ * driver folds).
+ */
+std::vector<PhaseTimes>
+packedPhases(const kv::PackedHeadCache& cache, const Tensor<Half>& q,
+             float scale, int reps)
+{
+    using exec::simd::Level;
+    const int d = cache.headDim();
+    const int nr = cache.residualBlockSize();
+    const int gq = static_cast<int>(q.dim(0));
+    const int bits = cache.config().bits;
+    const std::size_t tile =
+        static_cast<std::size_t>(nr) * static_cast<std::size_t>(d);
+    const exec::simd::PlanView kview = cache.keyLinearPlan().view();
+    const exec::simd::PlanView vview = cache.valueLinearPlan().view();
+    const auto& kb = cache.keyBlocks();
+    const auto& vb = cache.valueBlocks();
+    std::vector<float> kd_buf, vd_buf, s_buf, dq_buf;
+    float* kd = exec::alignedScratch(kd_buf, tile);
+    float* vd = exec::alignedScratch(vd_buf, tile);
+    float* s = exec::alignedScratch(
+        s_buf, static_cast<std::size_t>(gq) * static_cast<std::size_t>(nr));
+    std::vector<PhaseTimes> out;
+    for (Level level : {Level::Scalar, Level::Avx2, Level::Avx512}) {
+        if (!exec::simd::levelSupported(level))
+            continue;
+        const exec::simd::KernelTable& kt = exec::simd::requireKernels(level);
+        std::vector<float> qf(q.numel());
+        kt.convert_rows(q.data(), qf.size(), qf.data());
+        float* dq = exec::alignedScratch(
+            dq_buf, exec::simd::dequantScratch(
+                        tile / static_cast<std::size_t>(
+                                   cache.config().group_size),
+                        bits));
+        const auto dequant = [&](std::size_t b) {
+            kt.dequant_linear(kb[b].units.data(), kb[b].params.data(),
+                              kb[b].params.numel(), kview, kd, dq);
+            kt.dequant_linear(vb[b].units.data(), vb[b].params.data(),
+                              vb[b].params.numel(), vview, vd, dq);
+        };
+        PhaseTimes pt{exec::simd::toString(level), 0, 0};
+        pt.dequant_ms = medianMs(reps, [&] {
+            for (std::size_t b = 0; b < kb.size(); b++)
+                dequant(b);
+        });
+        exec::SoftmaxPartial st;
+        pt.fold_ms = medianMs(reps, [&] {
+            st.init(gq, d);
+            for (std::size_t b = 0; b < kb.size(); b++)
+                kt.fold_tile(qf.data(), gq, d, kd, nr, vd, nr, scale,
+                             st.m.data(), st.l.data(), st.acc.data(), s,
+                             /*round_p=*/true);
+        });
+        out.push_back(pt);
+    }
+    return out;
+}
+
 struct ContextResult
 {
     backend::Binding binding; //!< cache structure the backend consumed
@@ -78,6 +168,7 @@ struct ContextResult
     double paged_fused_ms;  //!< fused-paged backend, in place
     double scalar_twin_ms;  //!< scalar twin of a SIMD backend; -1 = N/A
     double prefill_ms;      //!< median HeadDecoder::prefill of the context
+    std::vector<PhaseTimes> phases; //!< per supported level
 };
 
 /** The scalar twin of a SIMD sibling name; empty for non-siblings. */
@@ -128,16 +219,14 @@ runContext(const backend::AttentionBackend& be, int context, bool smoke,
     }
 
     const int reps = context <= 4096 ? 20 : (context <= 32768 ? 5 : 3);
-    std::vector<double> prefill_ms;
-    for (int i = 0; i < reps; i++) {
-        core::HeadDecoder dec(d, core::BitDecodingConfig{});
-        const double t0 = nowMs();
-        dec.prefill(fx.keys(), fx.values());
-        prefill_ms.push_back(nowMs() - t0);
+    {
+        std::optional<core::HeadDecoder> dec;
+        r.prefill_ms = medianMs(reps, [&] {
+            dec.emplace(d, core::BitDecodingConfig{});
+            dec->prefill(fx.keys(), fx.values());
+        });
+        r.phases = packedPhases(dec->cache(), fx.query(), scale, reps);
     }
-    std::nth_element(prefill_ms.begin(), prefill_ms.begin() + reps / 2,
-                     prefill_ms.end());
-    r.prefill_ms = prefill_ms[static_cast<std::size_t>(reps / 2)];
 
     backend::DecodeBatch b = fx.batch();
     b.scale = scale;
@@ -249,6 +338,12 @@ main(int argc, char** argv)
     for (const ContextResult& r : results)
         bench::row(std::to_string(r.context / 1024) + "K", {r.prefill_ms},
                    "%10.3f");
+    bench::section("packed step phases: one head, 1 thread (KC-4, median)");
+    bench::head("context / level", {"dequant", "fold"});
+    for (const ContextResult& r : results)
+        for (const PhaseTimes& p : r.phases)
+            bench::row(std::to_string(r.context / 1024) + "K " + p.level,
+                       {p.dequant_ms, p.fold_ms}, "%10.3f");
     bench::section("paged: fused-paged in place vs reference gather "
                    "(1 thread)");
     bench::head("context", {"gather", "fused"});
@@ -313,12 +408,19 @@ main(int argc, char** argv)
             "\"scaling_1t_to_8t\": %.2f,\n"
             "     %s,\n"
             "     \"paged_gather_ms\": %s, \"paged_fused_ms\": %.4f, "
-            "\"prefill_ms\": %.4f}%s\n",
+            "\"prefill_ms\": %.4f,\n"
+            "     \"phases\": {",
             r.context, r.legacy_ms, r.legacy_estimated ? "true" : "false",
             r.fused_ms_t1, r.fused_ms_t4, r.fused_ms_t8,
             r.legacy_ms / r.fused_ms_t1, r.fused_ms_t1 / r.fused_ms_t8,
-            twin, gather, r.paged_fused_ms, r.prefill_ms,
-            i + 1 < results.size() ? "," : "");
+            twin, gather, r.paged_fused_ms, r.prefill_ms);
+        for (std::size_t p = 0; p < r.phases.size(); p++)
+            std::fprintf(f,
+                         "%s\"%s\": {\"dequant_ms\": %.4f, "
+                         "\"fold_ms\": %.4f}",
+                         p == 0 ? "" : ", ", r.phases[p].level,
+                         r.phases[p].dequant_ms, r.phases[p].fold_ms);
+        std::fprintf(f, "}}%s\n", i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

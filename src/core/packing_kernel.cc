@@ -388,6 +388,8 @@ fusedPackedAttention(const Tensor<Half>& q_tile,
     BITDEC_ASSERT(static_cast<int>(q_tile.dim(1)) == d, "query width mismatch");
     const int nr = cache.residualBlockSize();
     const int bits = cache.config().bits;
+    const std::size_t group_size =
+        static_cast<std::size_t>(cache.config().group_size);
     const std::size_t dd = static_cast<std::size_t>(d);
 
     // Q converts once, in bulk.
@@ -396,8 +398,8 @@ fusedPackedAttention(const Tensor<Half>& q_tile,
 
     const auto& k_blocks = cache.keyBlocks();
     const auto& v_blocks = cache.valueBlocks();
-    const exec::simd::LinearDequantPlan& kplan = cache.keyLinearPlan();
-    const exec::simd::LinearDequantPlan& vplan = cache.valueLinearPlan();
+    const exec::simd::PlanView kview = cache.keyLinearPlan().view();
+    const exec::simd::PlanView vview = cache.valueLinearPlan().view();
     const int n_blocks = static_cast<int>(k_blocks.size());
     const int n_chunks = (n_blocks + kChunkBlocks - 1) / kChunkBlocks;
 
@@ -409,27 +411,27 @@ fusedPackedAttention(const Tensor<Half>& q_tile,
         st.init(gq, d);
 
         // Reusable scratch: one dequantized [Nr x d] tile each for K
-        // (channel-major, token stride nr) and V (token-major).
+        // (channel-major, token stride nr) and V (token-major), the
+        // scores of every row, and the blocks' widened params.
         // Thread-local, grow-only — zero allocations in steady state.
-        thread_local std::vector<float> kd_buf, vd_buf, s_buf;
+        thread_local std::vector<float> kd_buf, vd_buf, s_buf, dq_buf;
         const std::size_t tile = static_cast<std::size_t>(nr) * dd;
         float* kd = exec::alignedScratch(kd_buf, tile);
         float* vd = exec::alignedScratch(vd_buf, tile);
-        float* s = exec::alignedScratch(s_buf, static_cast<std::size_t>(nr));
+        float* s = exec::alignedScratch(
+            s_buf, static_cast<std::size_t>(gq) * static_cast<std::size_t>(nr));
+        float* dq = exec::alignedScratch(
+            dq_buf, exec::simd::dequantScratch(tile / group_size, bits));
 
         const int b0 = static_cast<int>(ci) * kChunkBlocks;
         const int b1 = std::min(n_blocks, b0 + kChunkBlocks);
         for (int blk = b0; blk < b1; blk++) {
             const kv::PackedBlock& kb = k_blocks[static_cast<std::size_t>(blk)];
             const kv::PackedBlock& vb = v_blocks[static_cast<std::size_t>(blk)];
-            kt.dequant_linear(kb.units.data(), kplan.unit.data(),
-                              kplan.shift.data(), kplan.param.data(),
-                              kplan.size(), bits, kb.dequant_lut_f32.data(),
-                              kd);
-            kt.dequant_linear(vb.units.data(), vplan.unit.data(),
-                              vplan.shift.data(), vplan.param.data(),
-                              vplan.size(), bits, vb.dequant_lut_f32.data(),
-                              vd);
+            kt.dequant_linear(kb.units.data(), kb.params.data(),
+                              kb.params.numel(), kview, kd, dq);
+            kt.dequant_linear(vb.units.data(), vb.params.data(),
+                              vb.params.numel(), vview, vd, dq);
             // P rounds through half precision exactly like the sAcc
             // round trip (round_p = true).
             kt.fold_tile(qf.data(), gq, d, kd, /*t_stride=*/nr, vd, nr, scale,

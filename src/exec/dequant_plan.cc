@@ -2,6 +2,7 @@
 
 #include "common/logging.h"
 #include "gpusim/fragment.h"
+#include "quant/fast_dequant.h"
 
 namespace bitdec::exec {
 
@@ -35,24 +36,26 @@ buildDequantRoutes(const layout::InducedLayout& lay,
 void
 dequantBlock(const std::vector<std::uint32_t>& units,
              const std::vector<CodeRoute>& routes,
-             const std::vector<Half>& lut, int bits, float* out)
+             const Tensor<Half2>& params, int bits, float* out)
 {
     const int cpu = 32 / bits;
     const std::uint32_t mask = (1u << bits) - 1u;
     BITDEC_ASSERT(routes.size() ==
                       units.size() * static_cast<std::size_t>(cpu),
                   "routing table does not match the unit buffer");
-    const float* widen = halfToFloatLut();
+    const auto value = [&](const CodeRoute& r, std::uint32_t code) {
+        BITDEC_ASSERT(r.param < params.numel(), "route group out of range");
+        return quant::dequantMagicValue(
+            static_cast<std::uint8_t>(code),
+            quant::QuantParams::fromHalf2(params[r.param]));
+    };
     const CodeRoute* r = routes.data();
     for (std::size_t u = 0; u < units.size(); u++, r += cpu) {
         const std::uint32_t w = units[u];
         for (int j = 0; j < cpu / 2; j++) {
-            const std::uint32_t lo = (w >> (bits * j)) & mask;
-            const std::uint32_t hi = (w >> (bits * j + 16)) & mask;
-            const CodeRoute& rl = r[2 * j];
-            const CodeRoute& rh = r[2 * j + 1];
-            out[rl.dest] = widen[lut[(rl.param << bits) | lo].bits()];
-            out[rh.dest] = widen[lut[(rh.param << bits) | hi].bits()];
+            out[r[2 * j].dest] = value(r[2 * j], (w >> (bits * j)) & mask);
+            out[r[2 * j + 1].dest] =
+                value(r[2 * j + 1], (w >> (bits * j + 16)) & mask);
         }
     }
 }

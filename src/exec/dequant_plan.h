@@ -12,12 +12,11 @@
  *  - a DequantPlan stores, for each unit slot and logical code index, the
  *    scratch destination offset and the quantization-parameter group the
  *    code belongs to (CodeRoute);
- *  - each PackedBlock carries a per-group value table with all 2^bits
- *    dequantized values of every group, built once at pack time with the
- *    exact magic-FMA arithmetic (quant::dequantMagicValue) the lop3 fast
- *    path produces — so the fused path is bit-identical to the reference
- *    dequantization while reducing the per-element work to one shift/mask
- *    and one indexed load.
+ *  - each PackedBlock carries only its packed words and one Half2
+ *    (scale, zero) per parameter group; a code dequantizes with the
+ *    magic-FMA arithmetic (quant::dequantMagicValue) the lop3 fast path
+ *    produces, so the fused path is bit-identical to the reference
+ *    dequantization.
  */
 #ifndef BITDEC_EXEC_DEQUANT_PLAN_H
 #define BITDEC_EXEC_DEQUANT_PLAN_H
@@ -27,6 +26,7 @@
 #include <vector>
 
 #include "common/half.h"
+#include "common/tensor.h"
 #include "layout/induced_layout.h"
 
 namespace bitdec::exec {
@@ -53,20 +53,21 @@ std::vector<CodeRoute> buildDequantRoutes(
 
 /**
  * Dequantizes one packed block into @p out using a routing table and the
- * block's per-group value table (see kv::PackedBlock::dequant_lut). The
- * code extraction mirrors the lop3 pair walk: pair j of a word yields
- * logical codes 2j (low 16-bit lane) and 2j+1 (high lane).
+ * block's parameters: each code becomes quant::dequantMagicValue of its
+ * group's (scale, zero). The code extraction mirrors the lop3 pair walk:
+ * pair j of a word yields logical codes 2j (low 16-bit lane) and 2j+1
+ * (high lane). The token-major reference of the kernel tables'
+ * dequant_linear.
  *
  * @param units  the block's packed words, in unit-slot order
  * @param routes table from buildDequantRoutes for the same layout
- * @param lut    per-group dequantized values (Half-stored, lossless),
- *               [group * 2^bits + code]
+ * @param params the block's (scale, zero) per flat group index
  * @param bits   code width (2 or 4)
  * @param out    scratch tile; written at routes[].dest
  */
 void dequantBlock(const std::vector<std::uint32_t>& units,
                   const std::vector<CodeRoute>& routes,
-                  const std::vector<Half>& lut, int bits, float* out);
+                  const Tensor<Half2>& params, int bits, float* out);
 
 } // namespace bitdec::exec
 

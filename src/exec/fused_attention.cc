@@ -128,7 +128,8 @@ foldHalfTile(const simd::KernelTable& kt, const float* qf, int gq, int d,
         static_cast<std::size_t>(tokens) * static_cast<std::size_t>(d);
     float* kT = alignedScratch(kT_buf, n);
     float* vf = alignedScratch(vf_buf, n);
-    float* s = alignedScratch(s_buf, static_cast<std::size_t>(tokens));
+    float* s = alignedScratch(s_buf, static_cast<std::size_t>(gq) *
+                                         static_cast<std::size_t>(tokens));
     // Both conversions are bit-exact Half widenings.
     kt.convert_transpose(k, tokens, d, kT, tokens);
     kt.convert_rows(v, n, vf);

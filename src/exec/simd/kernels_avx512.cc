@@ -22,6 +22,10 @@ namespace {
 struct VecAvx512
 {
     static constexpr int W = 16;
+    // 32 zmm registers: 4 rows x 4 vectors of accumulators, plus the
+    // shared K/V loads and the broadcasts.
+    static constexpr int kFoldRows = 4;
+    static constexpr int kAccRegs = 16;
     using F = __m512;
     using I = __m512i;
 
@@ -42,6 +46,7 @@ struct VecAvx512
     static F min(F a, F b) { return _mm512_maskz_min_ps(kAll, a, b); }
     static F max(F a, F b) { return _mm512_maskz_max_ps(kAll, a, b); }
     static F absF(F a) { return _mm512_abs_ps(a); }
+    static F neg(F a) { return _mm512_xor_ps(a, _mm512_set1_ps(-0.f)); }
     static F
     trunc(F a)
     {
@@ -61,32 +66,46 @@ struct VecAvx512
         return _mm512_set1_epi32(static_cast<int>(x));
     }
     static I andI(I a, I b) { return _mm512_and_si512(a, b); }
-    static I orI(I a, I b) { return _mm512_or_si512(a, b); }
     static I
     srlv(I a, I count)
     {
         return _mm512_maskz_srlv_epi32(kAll, a, count);
     }
-    static I gatherI(const std::uint32_t* base, I idx)
-    {
-        return _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), kAll, idx,
-                                           base, 4);
-    }
+    static F cvtI(I a) { return _mm512_maskz_cvtepi32_ps(kAll, a); }
     static F gatherF(const float* base, I idx)
     {
         return _mm512_mask_i32gather_ps(_mm512_setzero_ps(), kAll, idx, base,
                                         4);
     }
-
-    static void
-    narrowWiden(float* f, Half* h)
+    static I loadParams(const Half2* p) { return _mm512_loadu_si512(p); }
+    static F
+    widenHalf(I a)
     {
-        const __m256i hv =
-            _mm512_maskz_cvtps_ph(kAll, _mm512_loadu_ps(f),
-                                  _MM_FROUND_TO_NEAREST_INT |
-                                      _MM_FROUND_NO_EXC);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(h), hv);
-        _mm512_storeu_ps(f, _mm512_maskz_cvtph_ps(kAll, hv));
+        return _mm512_maskz_cvtph_ps(kAll,
+                                     _mm512_maskz_cvtepi32_epi16(kAll, a));
+    }
+    /** Two two-source permutes over the window's halves, then bit 5 of
+     *  the index picks the half. */
+    static I
+    permute64(const std::uint32_t* window, I idx)
+    {
+        const I lo = _mm512_permutex2var_epi32(_mm512_loadu_si512(window),
+                                               idx,
+                                               _mm512_loadu_si512(window + 16));
+        const I hi = _mm512_permutex2var_epi32(
+            _mm512_loadu_si512(window + 32), idx,
+            _mm512_loadu_si512(window + 48));
+        return _mm512_mask_blend_epi32(
+            _mm512_test_epi32_mask(idx, _mm512_set1_epi32(32)), lo, hi);
+    }
+
+    static F
+    narrowWiden(F a)
+    {
+        return _mm512_maskz_cvtph_ps(
+            kAll, _mm512_maskz_cvtps_ph(kAll, a,
+                                        _MM_FROUND_TO_NEAREST_INT |
+                                            _MM_FROUND_NO_EXC));
     }
 
     static constexpr auto widenRows = impl::convertRowsF16c;

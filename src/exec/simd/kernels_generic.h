@@ -2,47 +2,63 @@
  * @file
  * Width-generic implementation of the hot-path kernels, parameterized on
  * a vector-traits struct: 1 lane (kernels_scalar.cc), 8 lanes
- * (kernels_avx2.cc), 16 lanes (kernels_avx512.cc). Included ONLY by the
- * kernel-table translation units, and free of ISA intrinsics so the
+ * (kernels_avx2.cc), 16 lanes (kernels_avx512.cc). Included only by the
+ * kernel-table translation units (and by tests/test_properties.cc, which
+ * checks Lane1's narrowing directly), and free of ISA intrinsics so the
  * portable scalar TU can include it too. Everything here has internal
  * linkage (static templates instantiated over TU-local traits), so no
  * symbol compiled under one ISA's flags can be linker-folded into
  * another TU.
  *
  * Bit-exactness rules (the whole point of this file):
+ *  - fold: query rows go in blocks of up to kFoldRows. A block loads
+ *    each K vector and each V row once for all its rows, and keeps its
+ *    PV accumulators in registers across the whole tile. Every output
+ *    element still sees exec::foldTile's rounding sequence:
  *  - QK: one lane per token; channels accumulate sequentially c = 0..d-1
  *    with separate mul and add per step, replicating the
  *    `dot += q[c] * k[c]` rounding sequence of exec::foldTile exactly.
- *    The tail tokens run that scalar loop verbatim.
- *  - row max, exp and the packed path's half-rounding of P stay scalar
- *    per token, in token order.
- *  - PV: one lane per channel; tokens accumulate sequentially, so each
- *    acc[c] sees the identical addition order as exec::foldTile.
- *  - dequant is exact (code extraction and LUT indexing are integer
- *    ops), so any order works.
+ *    The tail tokens run that loop one lane wide.
+ *  - row max, exp and the l sum stay scalar per row, in token order;
+ *    P's half rounding is the traits' narrowWiden (RNE), which rounds
+ *    every lane like roundToHalf.
+ *  - PV: one lane per channel; the rescale multiplies each accumulator
+ *    once as it enters registers, then tokens accumulate sequentially,
+ *    so each acc[c] sees the identical operation order as
+ *    exec::foldTile.
+ *  - dequant: code extraction is integer-exact (window permute, shift,
+ *    mask); the value is (1024 + code) * s + nb narrowed RNE, with s
+ *    and nb = Half(-(1024 + z) * s) from the group's params — the
+ *    arithmetic of quant::dequantMagicValue, one mul and one add.
  *  - quantize-pack: group min/max run one lane per group with the
  *    group's elements visited in scalar order, `min(x, acc)` /
  *    `max(x, acc)` — the NaN and signed-zero semantics of
  *    std::min(acc, x) / std::max(acc, x). Codes are elementwise: a real
  *    division, exact round-half-away-from-zero, the zero point added,
- *    a NaN-to-0 clamp. LUT values are one mul + one add narrowed
- *    round-to-nearest-even.
+ *    a NaN-to-0 clamp.
  *
- * Traits interface (W lanes): F/I vector types, zero, broadcast, load,
- * store, mul, add, sub, div, min, max, absF, trunc, blendGe over floats;
- * loadI, broadcastI, andI, orI, srlv, gatherI, gatherF over 32-bit
- * lanes; narrowWiden (RNE Half narrowing of W floats, widened back in
- * place); widenRows / widenTranspose (the level's convert_rows /
+ * Traits interface (W lanes): F/I vector types; kFoldRows (query rows
+ * per fold block) and kAccRegs (accumulator registers a block may
+ * hold); zero, broadcast, load, store, mul, add, sub, div, min, max,
+ * absF, neg, trunc, blendGe over floats; loadI, broadcastI, andI, srlv,
+ * cvtI (int -> float), gatherF over 32-bit lanes; loadParams (W Half2
+ * as 32-bit lanes), widenHalf (the low 16 bits of each lane as a Half),
+ * permute64 (the words at a 64-word window's local indices);
+ * narrowWiden (RNE Half narrowing of W floats, widened back);
+ * widenRows / widenTranspose (the level's convert_rows /
  * convert_transpose).
  */
 #ifndef BITDEC_EXEC_SIMD_KERNELS_GENERIC_H
 #define BITDEC_EXEC_SIMD_KERNELS_GENERIC_H
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 
 #include "common/half.h"
+#include "exec/simd/kernel_table.h"
 #include "quant/int_quant.h"
 
 namespace bitdec::exec::simd {
@@ -59,6 +75,8 @@ namespace {
 struct Lane1
 {
     static constexpr int W = 1;
+    static constexpr int kFoldRows = 4;
+    static constexpr int kAccRegs = 8;
     using F = float;
     using I = std::uint32_t;
 
@@ -74,6 +92,8 @@ struct Lane1
     static F min(F a, F b) { return a < b ? a : b; }
     static F max(F a, F b) { return a > b ? a : b; }
     static F absF(F a) { return __builtin_fabsf(a); }
+    /** Sign flip, NaN included (what C++ unary minus compiles to). */
+    static F neg(F a) { return -a; }
     /** Round toward zero; |a| >= 2^23, inf and NaN are already
      *  integral or pass through. */
     static F
@@ -89,28 +109,70 @@ struct Lane1
     static I loadI(const std::uint32_t* p) { return *p; }
     static I broadcastI(std::uint32_t x) { return x; }
     static I andI(I a, I b) { return a & b; }
-    static I orI(I a, I b) { return a | b; }
     static I srlv(I a, I count) { return a >> count; }
-    static I gatherI(const std::uint32_t* base, I idx) { return base[idx]; }
+    static F cvtI(I a) { return static_cast<float>(a); }
     static F gatherF(const float* base, I idx) { return base[idx]; }
-
-    static void
-    narrowWiden(float* f, Half* h)
+    static I loadParams(const Half2* p) { return p->toWord(); }
+    static F
+    widenHalf(I a)
     {
-        const std::uint16_t b = floatToHalfBits(*f);
-        *h = Half::fromBits(b);
-        *f = halfBitsToFloat(b);
+        return halfBitsToFloat(static_cast<std::uint16_t>(a));
+    }
+    static I
+    permute64(const std::uint32_t* window, I idx)
+    {
+        return window[idx & (kPlanWindow - 1)];
+    }
+
+    /**
+     * halfBitsToFloat(floatToHalfBits(a)) without the table walk: RNE to
+     * the 2^-24 grid below 2^-14 and to 11 significant bits above, by
+     * adding and subtracting a power of two whose ulp is the target
+     * step; inf at 65520 and above; NaN quieted with its payload cut to
+     * Half's 10 bits. Branch-free, so the portable level's value-row
+     * loop vectorizes under plain -O2.
+     */
+    static F
+    narrowWiden(F a)
+    {
+        const std::uint32_t u = std::bit_cast<std::uint32_t>(a);
+        const std::uint32_t sign = u & 0x80000000u;
+        // |a| fits a non-negative int32, so plain int compares give the
+        // all-ones masks of the selects.
+        const std::int32_t mag = static_cast<std::int32_t>(u ^ sign);
+        const auto all = [](bool b) {
+            return 0u - static_cast<std::uint32_t>(b);
+        };
+        const std::uint32_t sub = all(mag < 0x38800000);
+        const std::uint32_t c =
+            (0x3F000000u & sub) | // 0.5: ulp 2^-24, the subnormal step
+            (((static_cast<std::uint32_t>(mag) & 0x7F800000u) + (13u << 23)) &
+             0x7F800000u & ~sub);
+        const float x = std::bit_cast<float>(static_cast<std::uint32_t>(mag));
+        std::uint32_t r = std::bit_cast<std::uint32_t>(
+            (x + std::bit_cast<float>(c)) - std::bit_cast<float>(c));
+        const std::uint32_t inf = all(mag >= 0x477FF000); // >= 65520
+        r = (r & ~inf) | (0x7F800000u & inf);
+        const std::uint32_t nan = all(mag > 0x7F800000);
+        r = (r & ~nan) |
+            ((static_cast<std::uint32_t>(mag) | 0x00400000u) & 0x7FFFE000u &
+             nan);
+        return std::bit_cast<float>(r | sign);
     }
 };
 
-} // namespace
+/** The operands of one fold block: R query rows and their state. */
+struct FoldRows
+{
+    const float* q;    //!< [R x d] queries
+    float* m;          //!< R running maxima
+    float* l;          //!< R exp-sums
+    float* acc;        //!< [R x d] accumulators
+    float* p;          //!< [R x tokens] scores, then P
+    float rescale[16]; //!< per row: exp(old max - new max)
+};
 
-/** 1024 + q for every code q of a 2- or 4-bit block (the widths a
- *  LinearDequantPlan packs): the magic-biased code values. */
-static constexpr float kMagic[16] = {1024.f, 1025.f, 1026.f, 1027.f,
-                                     1028.f, 1029.f, 1030.f, 1031.f,
-                                     1032.f, 1033.f, 1034.f, 1035.f,
-                                     1036.f, 1037.f, 1038.f, 1039.f};
+} // namespace
 
 /** Runs fn(V{}, i) on every V::W-aligned lane run of [0, n) and
  *  fn(Lane1{}, i) on the tail. */
@@ -147,134 +209,306 @@ minMaxColumns(const float* base, std::size_t lanes, int steps,
     });
 }
 
+/** Vectors per row a fold block of R rows unrolls: the traits'
+ *  accumulator budget shared by the rows, 1 to 4. */
+template <class V, int R>
+static constexpr int
+foldVecs()
+{
+    constexpr int u = V::kAccRegs / R;
+    return u < 1 ? 1 : (u > 4 ? 4 : u);
+}
+
 /**
- * The fold kernel: exec::foldTile over a channel-major K scratch,
- * V lanes at a time. V is the traits struct of the TU instantiating this.
+ * QK of R rows over the U * T::W-token runs from @p t on: each K vector
+ * is loaded once and feeds all R rows. Returns the first token not
+ * covered.
+ */
+template <class T, int R, int U>
+static int
+qkRuns(const FoldRows& fr, int d, const float* kT, std::size_t ts,
+       int tokens, float scale, int t)
+{
+    const std::size_t dd = static_cast<std::size_t>(d);
+    const std::size_t nt = static_cast<std::size_t>(tokens);
+    for (; t + U * T::W <= tokens; t += U * T::W) {
+        typename T::F a[R][U];
+#pragma GCC unroll 16
+        for (int r = 0; r < R; r++)
+#pragma GCC unroll 4
+            for (int u = 0; u < U; u++)
+                a[r][u] = T::zero();
+        for (int c = 0; c < d; c++) {
+            const float* krow = kT + static_cast<std::size_t>(c) * ts +
+                                static_cast<std::size_t>(t);
+            typename T::F k[U];
+#pragma GCC unroll 4
+            for (int u = 0; u < U; u++)
+                k[u] = T::load(krow + u * T::W);
+#pragma GCC unroll 16
+            for (int r = 0; r < R; r++) {
+                const auto q = T::broadcast(
+                    fr.q[static_cast<std::size_t>(r) * dd +
+                         static_cast<std::size_t>(c)]);
+#pragma GCC unroll 4
+                for (int u = 0; u < U; u++)
+                    a[r][u] = T::add(a[r][u], T::mul(q, k[u]));
+            }
+        }
+        const auto vscale = T::broadcast(scale);
+#pragma GCC unroll 16
+        for (int r = 0; r < R; r++)
+#pragma GCC unroll 4
+            for (int u = 0; u < U; u++)
+                T::store(fr.p + static_cast<std::size_t>(r) * nt +
+                             static_cast<std::size_t>(t + u * T::W),
+                         T::mul(a[r][u], vscale));
+    }
+    return t;
+}
+
+/**
+ * PV of R rows over the P * T::W-channel slices from @p c on: the
+ * slice's R x P accumulators enter registers rescaled, take every token
+ * of the tile (each V row slice loaded once for all R rows), and leave.
+ * Returns the first channel not covered.
+ */
+template <class T, int R, int P>
+static int
+pvRuns(const FoldRows& fr, int d, const float* vf, int tokens, int c)
+{
+    const std::size_t dd = static_cast<std::size_t>(d);
+    const std::size_t nt = static_cast<std::size_t>(tokens);
+    for (; c + P * T::W <= d; c += P * T::W) {
+        typename T::F a[R][P];
+#pragma GCC unroll 16
+        for (int r = 0; r < R; r++) {
+            const auto vr = T::broadcast(fr.rescale[r]);
+#pragma GCC unroll 4
+            for (int j = 0; j < P; j++)
+                a[r][j] = T::mul(
+                    T::load(fr.acc + static_cast<std::size_t>(r) * dd +
+                            static_cast<std::size_t>(c + j * T::W)),
+                    vr);
+        }
+        for (int t = 0; t < tokens; t++) {
+            const float* vrow = vf + static_cast<std::size_t>(t) * dd +
+                                static_cast<std::size_t>(c);
+            typename T::F v[P];
+#pragma GCC unroll 4
+            for (int j = 0; j < P; j++)
+                v[j] = T::load(vrow + j * T::W);
+#pragma GCC unroll 16
+            for (int r = 0; r < R; r++) {
+                const auto pb = T::broadcast(
+                    fr.p[static_cast<std::size_t>(r) * nt +
+                         static_cast<std::size_t>(t)]);
+#pragma GCC unroll 4
+                for (int j = 0; j < P; j++)
+                    a[r][j] = T::add(a[r][j], T::mul(pb, v[j]));
+            }
+        }
+#pragma GCC unroll 16
+        for (int r = 0; r < R; r++)
+#pragma GCC unroll 4
+            for (int j = 0; j < P; j++)
+                T::store(fr.acc + static_cast<std::size_t>(r) * dd +
+                             static_cast<std::size_t>(c + j * T::W),
+                         a[r][j]);
+    }
+    return c;
+}
+
+/** One block of R query rows folded over the tile. */
+template <class V, int R>
+static void
+foldRows(FoldRows& fr, int d, const float* kT, std::size_t ts,
+         const float* vf, int tokens, float scale, bool round_p)
+{
+    constexpr int U = foldVecs<V, R>();
+    const float neg_inf = -__builtin_inff();
+    const std::size_t nt = static_cast<std::size_t>(tokens);
+
+    int t = qkRuns<V, R, U>(fr, d, kT, ts, tokens, scale, 0);
+    if constexpr (U > 1)
+        t = qkRuns<V, R, 1>(fr, d, kT, ts, tokens, scale, t);
+    if constexpr (V::W > 1)
+        qkRuns<Lane1, R, 1>(fr, d, kT, ts, tokens, scale, t);
+
+    // Softmax scalar per row, in token order: the max chain, exp, the
+    // optional half rounding of P, then l.
+    for (int r = 0; r < R; r++) {
+        float* p = fr.p + static_cast<std::size_t>(r) * nt;
+        float bm = fr.m[r];
+        for (std::size_t i = 0; i < nt; i++)
+            bm = bm < p[i] ? p[i] : bm;
+        fr.rescale[r] = fr.m[r] == neg_inf ? 0.f : std::exp(fr.m[r] - bm);
+        for (std::size_t i = 0; i < nt; i++)
+            p[i] = std::exp(p[i] - bm);
+        if (round_p)
+            forLanes<V>(nt, [&](auto v, std::size_t i) {
+                using T = decltype(v);
+                T::store(p + i, T::narrowWiden(T::load(p + i)));
+            });
+        float l = fr.l[r] * fr.rescale[r];
+        for (std::size_t i = 0; i < nt; i++)
+            l += p[i];
+        fr.l[r] = l;
+        fr.m[r] = bm;
+    }
+
+    int c = pvRuns<V, R, U>(fr, d, vf, tokens, 0);
+    if constexpr (U > 1)
+        c = pvRuns<V, R, 1>(fr, d, vf, tokens, c);
+    if constexpr (V::W > 1)
+        pvRuns<Lane1, R, 1>(fr, d, vf, tokens, c);
+}
+
+/** Folds @p rows query rows from fr on: blocks of R rows while they
+ *  last, then the remainder in one smaller block. */
+template <class V, int R>
+static void
+foldBlocks(int rows, FoldRows& fr, int d, const float* kT, std::size_t ts,
+           const float* vf, int tokens, float scale, bool round_p)
+{
+    static_assert(R >= 1 && R <= 16, "fold block rows out of range");
+    const std::size_t dd = static_cast<std::size_t>(d);
+    for (; rows >= R; rows -= R) {
+        foldRows<V, R>(fr, d, kT, ts, vf, tokens, scale, round_p);
+        fr.q += R * dd;
+        fr.m += R;
+        fr.l += R;
+        fr.acc += R * dd;
+    }
+    if constexpr (R > 1)
+        if (rows > 0)
+            foldBlocks<V, R - 1>(rows, fr, d, kT, ts, vf, tokens, scale,
+                                 round_p);
+}
+
+/**
+ * The fold kernel: exec::foldTile over a channel-major K scratch, in
+ * blocks of V::kFoldRows query rows. V is the traits struct of the TU
+ * instantiating this.
  */
 template <class V>
 static void
 foldTileImpl(const float* qf, int gq, int d, const float* kT, int t_stride,
              const float* vf, int tokens, float scale, float* m, float* l,
-             float* acc_all, float* s, bool round_p)
+             float* acc, float* s, bool round_p)
 {
-    const float neg_inf = -__builtin_inff();
-    const std::size_t dd = static_cast<std::size_t>(d);
-    const std::size_t ts = static_cast<std::size_t>(t_stride);
-    for (int r = 0; r < gq; r++) {
-        const std::size_t rr = static_cast<std::size_t>(r);
-        const float* qrow = qf + rr * dd;
-        // QK: lane-per-token; channels accumulate in scalar order with
-        // separate mul+add, so each lane rounds exactly like the scalar
-        // dot loop.
-        int t = 0;
-        const auto vscale = V::broadcast(scale);
-        // 4 token-vectors per pass: four independent add chains hide the
-        // add latency, one q broadcast feeds all four. Each lane still
-        // accumulates c = 0..d-1 sequentially, so rounding is unchanged.
-        for (; t + 4 * V::W <= tokens; t += 4 * V::W) {
-            auto d0 = V::zero(), d1 = V::zero(), d2 = V::zero(),
-                 d3 = V::zero();
-            for (int c = 0; c < d; c++) {
-                const float* krow =
-                    kT + static_cast<std::size_t>(c) * ts +
-                    static_cast<std::size_t>(t);
-                const auto q = V::broadcast(qrow[c]);
-                d0 = V::add(d0, V::mul(q, V::load(krow)));
-                d1 = V::add(d1, V::mul(q, V::load(krow + V::W)));
-                d2 = V::add(d2, V::mul(q, V::load(krow + 2 * V::W)));
-                d3 = V::add(d3, V::mul(q, V::load(krow + 3 * V::W)));
-            }
-            V::store(s + t, V::mul(d0, vscale));
-            V::store(s + t + V::W, V::mul(d1, vscale));
-            V::store(s + t + 2 * V::W, V::mul(d2, vscale));
-            V::store(s + t + 3 * V::W, V::mul(d3, vscale));
-        }
-        for (; t + V::W <= tokens; t += V::W) {
-            auto dot = V::zero();
-            for (int c = 0; c < d; c++)
-                dot = V::add(dot,
-                             V::mul(V::broadcast(qrow[c]),
-                                    V::load(kT + static_cast<std::size_t>(c) *
-                                                     ts +
-                                            static_cast<std::size_t>(t))));
-            V::store(s + t, V::mul(dot, vscale));
-        }
-        for (; t < tokens; t++) {
-            float dot = 0.f;
-            for (int c = 0; c < d; c++)
-                dot += qrow[c] * kT[static_cast<std::size_t>(c) * ts +
-                                    static_cast<std::size_t>(t)];
-            s[t] = dot * scale;
-        }
-        // Row max scalar, in token order (same semantics as foldTile's
-        // interleaved std::max chain).
-        float bm = m[rr];
-        for (int i = 0; i < tokens; i++)
-            bm = bm < s[i] ? s[i] : bm;
-        const float rescale = m[rr] == neg_inf ? 0.f : std::exp(m[rr] - bm);
-        float* acc = acc_all + rr * dd;
-        l[rr] *= rescale;
-        {
-            const auto vr = V::broadcast(rescale);
-            int c = 0;
-            for (; c + V::W <= d; c += V::W)
-                V::store(acc + c, V::mul(V::load(acc + c), vr));
-            for (; c < d; c++)
-                acc[c] *= rescale;
-        }
-        // PV: exp/rounding scalar per token; lane-per-channel
-        // accumulation in token order — each acc[c] sees the scalar
-        // addition sequence.
-        for (int tt = 0; tt < tokens; tt++) {
-            const float pexp = std::exp(s[tt] - bm);
-            const float p = round_p ? roundToHalf(pexp) : pexp;
-            l[rr] += p;
-            const float* vrow = vf + static_cast<std::size_t>(tt) * dd;
-            const auto vp = V::broadcast(p);
-            int c = 0;
-            for (; c + V::W <= d; c += V::W)
-                V::store(acc + c,
-                         V::add(V::load(acc + c), V::mul(vp, V::load(vrow +
-                                                                     c))));
-            for (; c < d; c++)
-                acc[c] += p * vrow[c];
-        }
-        m[rr] = bm;
+    FoldRows fr{qf, m, l, acc, s, {}};
+    foldBlocks<V, V::kFoldRows>(gq, fr, d, kT,
+                                static_cast<std::size_t>(t_stride), vf,
+                                tokens, scale, round_p);
+}
+
+/** The portable level's value rows: rows[g * L + q] is code q of group
+ *  g, narrowWiden((1024 + q) * s + nb). */
+template <int L>
+static void
+valueRows(const float* sf, const float* nbf, std::size_t groups, float* rows)
+{
+    for (std::size_t g = 0; g < groups; g++) {
+        float* row = rows + g * L;
+        const float s = sf[g], nb = nbf[g];
+#pragma GCC unroll 1
+        for (int q = 0; q < L; q++)
+            row[q] = Lane1::narrowWiden(Lane1::add(
+                Lane1::mul(1024.f + static_cast<float>(q), s), nb));
     }
 }
 
-/** Destination-ordered block dequant: gather words, variable-shift/mask
- *  the codes, gather values from the float LUT, contiguous store. */
+/**
+ * Destination-ordered block dequant. Each group's (s, nb) is widened
+ * once; each vector of codes comes from one 64-word window by permute,
+ * shift and mask; the value is narrowWiden((1024 + code) * s + nb).
+ * Runs of a uniform plan broadcast their group's (s, nb); others take
+ * them per lane. The portable level instead builds each group's
+ * 2^bits-entry value row once and looks codes up in it.
+ */
 template <class V>
 static void
-dequantLinearImpl(const std::uint32_t* units, const std::uint32_t* unit_of,
-                  const std::uint32_t* shift_of, const std::uint32_t* param_of,
-                  std::size_t n, int bits, const float* flut, float* out)
+dequantLinearImpl(const std::uint32_t* units, const Half2* params,
+                  std::size_t groups, const PlanView& plan_ref, float* out,
+                  float* scratch)
 {
-    const std::uint32_t maskv = (1u << bits) - 1u;
-    const auto vmask = V::broadcastI(maskv);
-    std::size_t i = 0;
-    for (; i + V::W <= n; i += V::W) {
-        const auto words = V::gatherI(units, V::loadI(unit_of + i));
-        const auto codes =
-            V::andI(V::srlv(words, V::loadI(shift_of + i)), vmask);
-        const auto li = V::orI(V::loadI(param_of + i), codes);
-        V::store(out + i, V::gatherF(flut, li));
+    // A local copy: the vector stores below may alias anything, which
+    // would otherwise reload the plan's pointers every iteration.
+    const PlanView plan = plan_ref;
+    float* sf = scratch;
+    float* nbf = sf + groups;
+    // nb = Half(-(1024 + z) * s): quant::dequantMagicValue's folded bias.
+    forLanes<V>(groups, [&](auto v, std::size_t g) {
+        using T = decltype(v);
+        const auto w = T::loadParams(params + g);
+        const auto s = T::widenHalf(T::andI(w, T::broadcastI(0xFFFFu)));
+        const auto z = T::widenHalf(T::srlv(w, T::broadcastI(16)));
+        T::store(sf + g, s);
+        T::store(nbf + g, T::narrowWiden(T::mul(
+                              T::neg(T::add(T::broadcast(1024.f), z)), s)));
+    });
+
+    const std::uint32_t mask = (1u << plan.bits) - 1u;
+    if constexpr (V::W == 1) {
+        float* rows = nbf + groups; // [groups x 2^bits]
+        if (plan.bits == 4)
+            valueRows<16>(sf, nbf, groups, rows);
+        else
+            valueRows<4>(sf, nbf, groups, rows);
+        for (std::size_t r0 = 0; r0 < plan.n; r0 += kPlanRun) {
+            const std::uint32_t* window = units + plan.window[r0 / kPlanRun];
+            const std::size_t r1 = std::min(plan.n, r0 + kPlanRun);
+            for (std::size_t i = r0; i < r1; i++) {
+                const std::uint32_t idx = plan.code[i];
+                out[i] = rows[plan.param[i] |
+                              ((Lane1::permute64(window, idx) >> (idx >> 8)) &
+                               mask)];
+            }
+        }
+        return;
+    } else {
+        static_assert(kPlanRun % V::W == 0,
+                      "a vector must not straddle two plan runs");
+        const auto run = [&](auto v, std::size_t i, auto s, auto nb) {
+            using T = decltype(v);
+            const auto idx = T::loadI(plan.code + i);
+            const auto words =
+                T::permute64(units + plan.window[i / kPlanRun], idx);
+            const auto codes = T::andI(
+                T::srlv(words, T::srlv(idx, T::broadcastI(8))),
+                T::broadcastI(mask));
+            T::store(out + i,
+                     T::narrowWiden(T::add(
+                         T::mul(T::add(T::cvtI(codes), T::broadcast(1024.f)),
+                                s),
+                         nb)));
+        };
+        if (plan.uniform)
+            forLanes<V>(plan.n, [&](auto v, std::size_t i) {
+                using T = decltype(v);
+                const std::uint32_t g = plan.group[i / kPlanRun];
+                run(v, i, T::broadcast(sf[g]), T::broadcast(nbf[g]));
+            });
+        else
+            forLanes<V>(plan.n, [&](auto v, std::size_t i) {
+                using T = decltype(v);
+                const auto g =
+                    T::srlv(T::loadI(plan.param + i),
+                            T::broadcastI(static_cast<std::uint32_t>(
+                                plan.bits)));
+                run(v, i, T::gatherF(sf, g), T::gatherF(nbf, g));
+            });
     }
-    for (; i < n; i++)
-        out[i] = flut[param_of[i] |
-                      ((units[unit_of[i]] >> shift_of[i]) & maskv)];
 }
 
 /** KernelTable::quantize_pack; see kernel_table.h for the contract. */
 template <class V>
 static void
 quantizePackImpl(const Half* src, int tokens, int d, int bits,
-                 int group_size, bool group_tokens,
-                 const std::uint32_t* unit_of, const std::uint32_t* shift_of,
-                 const std::uint32_t* param_of, bool plan_channel_major,
-                 std::uint32_t* units, Half2* params, Half* lut,
-                 float* lut_f32, float* scratch)
+                 int group_size, bool group_tokens, const PlanView& plan,
+                 bool plan_channel_major, std::uint32_t* units,
+                 Half2* params, float* scratch)
 {
     const std::size_t nt = static_cast<std::size_t>(tokens);
     const std::size_t nd = static_cast<std::size_t>(d);
@@ -304,9 +538,7 @@ quantizePackImpl(const Half* src, int tokens, int d, int bits,
     }
 
     // Params scalar per group. r walks lo/hi in reduction order, g is
-    // the group's params index. Then the group's LUT row:
-    // (1024 + q) * s + Half(-(1024 + z) * s), the magic-FMA arithmetic
-    // of quant::dequantMagicValue, narrowed to Half and widened back.
+    // the group's params index.
     const std::size_t levels = std::size_t{1} << bits;
     const std::size_t outer = group_tokens ? nt / gs : nd / gs;
     const std::size_t inner = group_tokens ? nd : nt;
@@ -318,21 +550,8 @@ quantizePackImpl(const Half* src, int tokens, int d, int bits,
                 quant::computeParams(lo[r], hi[r], bits);
             params[g].x = p.scale;
             params[g].y = p.zero;
-            const float s = halfBitsToFloat(p.scale.bits());
-            const float z = halfBitsToFloat(p.zero.bits());
-            sf[g] = s;
-            zf[g] = z;
-            const float nb =
-                halfBitsToFloat(floatToHalfBits(-(1024.0f + z) * s));
-            float* row = lut_f32 + g * levels;
-            Half* hrow = lut + g * levels;
-            forLanes<V>(levels, [&](auto v, std::size_t q) {
-                using T = decltype(v);
-                T::store(row + q, T::add(T::mul(T::load(kMagic + q),
-                                                T::broadcast(s)),
-                                         T::broadcast(nb)));
-                T::narrowWiden(row + q, hrow + q);
-            });
+            sf[g] = halfBitsToFloat(p.scale.bits());
+            zf[g] = halfBitsToFloat(p.zero.bits());
         }
     }
 
@@ -341,7 +560,7 @@ quantizePackImpl(const Half* src, int tokens, int d, int bits,
     float* x = plan_channel_major ? cols : rows;
     forLanes<V>(n, [&](auto v, std::size_t i) {
         using T = decltype(v);
-        const auto g = T::srlv(T::loadI(param_of + i),
+        const auto g = T::srlv(T::loadI(plan.param + i),
                                T::broadcastI(static_cast<std::uint32_t>(bits)));
         const auto y = T::div(T::load(x + i), T::gatherF(sf, g));
         const auto t = T::trunc(y);
@@ -361,8 +580,11 @@ quantizePackImpl(const Half* src, int tokens, int d, int bits,
         n * static_cast<std::size_t>(bits) / 32;
     for (std::size_t u = 0; u < n_units; u++)
         units[u] = 0;
-    for (std::size_t i = 0; i < n; i++)
-        units[unit_of[i]] |= static_cast<std::uint32_t>(x[i]) << shift_of[i];
+    for (std::size_t i = 0; i < n; i++) {
+        const std::uint32_t idx = plan.code[i];
+        units[plan.window[i / kPlanRun] + (idx & (kPlanWindow - 1))] |=
+            static_cast<std::uint32_t>(x[i]) << (idx >> 8);
+    }
 }
 
 } // namespace impl

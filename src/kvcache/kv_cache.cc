@@ -79,8 +79,7 @@ PackedHeadCache::PackedHeadCache(int head_dim, const quant::QuantConfig& config,
 
     // Dequant routing shared by every block: both K and V land in a
     // token-major [Nr x d] scratch tile; the parameter-group indices match
-    // the flat order of the blocks' params tensors (and the dequant_lut
-    // built at pack time).
+    // the flat order of the blocks' params tensors.
     const std::uint32_t d = static_cast<std::uint32_t>(head_dim);
     const std::uint32_t gs = static_cast<std::uint32_t>(config.group_size);
     // Keys pack transposed ([d x Nr]): row = channel, col = token.
@@ -206,6 +205,23 @@ PackedHeadCache::metadataBytes() const
     return bytes;
 }
 
+std::size_t
+PackedHeadCache::hostBytes() const
+{
+    std::size_t bytes = 0;
+    for (const auto* blocks : {&k_blocks_, &v_blocks_}) {
+        bytes += blocks->capacity() * sizeof(PackedBlock);
+        for (const PackedBlock& b : *blocks)
+            bytes += b.units.capacity() * sizeof(std::uint32_t) +
+                     b.params.numel() * sizeof(Half2);
+    }
+    bytes += (k_res_.numel() + v_res_.numel()) * sizeof(Half);
+    bytes += (k_routes_.capacity() + v_routes_.capacity()) *
+             sizeof(exec::CodeRoute);
+    bytes += k_linear_.hostBytes() + v_linear_.hostBytes();
+    return bytes;
+}
+
 void
 PackedHeadCache::dequantizeAll(Tensor<Half>& k_out, Tensor<Half>& v_out) const
 {
@@ -305,15 +321,9 @@ packBlock(const exec::simd::KernelTable& kt, const PackedHeadCache& cache,
         else
             out.params.reset({static_cast<std::size_t>(nr),
                               static_cast<std::size_t>(d) / gs});
-        const std::size_t lut_n =
-            (n / gs) * static_cast<std::size_t>(qc.levels());
-        out.dequant_lut.resize(lut_n);
-        out.dequant_lut_f32.resize(lut_n);
         kt.quantize_pack(rows, nr, d, qc.bits, qc.group_size, group_tokens,
-                         plan.unit.data(), plan.shift.data(),
-                         plan.param.data(), channel_major, out.units.data(),
-                         out.params.data(), out.dequant_lut.data(),
-                         out.dequant_lut_f32.data(), scratch.data());
+                         plan.view(), channel_major, out.units.data(),
+                         out.params.data(), scratch.data());
     };
     pack(k_rows, kc, cache.keyLinearPlan(), true, k_out);
     pack(v_rows, false, cache.valueLinearPlan(), false, v_out);

@@ -62,30 +62,17 @@ class Fp16HeadCache
     Tensor<Half> v_;
 };
 
-/** One quantized+packed residual block of K or V. */
+/**
+ * One quantized+packed residual block of K or V: the packed codes and
+ * their per-group metadata, nothing else. A code dequantizes in
+ * registers from its group's (scale, zero) (quant::dequantMagicValue),
+ * on the device and in the CPU kernel tables alike, so the host copy of
+ * a 4-bit block is its 0.5 B/element of codes plus 4 B per group.
+ */
 struct PackedBlock
 {
     std::vector<std::uint32_t> units; //!< induced-layout packed words
     Tensor<Half2> params;             //!< per-group scale/zero metadata
-
-    /**
-     * Host-side acceleration table: the 2^bits dequantized values of every
-     * parameter group, [group * 2^bits + code], built at pack time with the
-     * magic-FMA arithmetic (quant::dequantMagicValue). Values are stored as
-     * Half — lossless, since magic-FMA results are Half-rounded by
-     * construction — so the table stays at half the size of an FP16 cache;
-     * exec::dequantBlock (the token-major reference dequant) reads it
-     * directly, the fused path through dequant_lut_f32. Not counted
-     * in deviceBytes() — the device dequantizes in registers; this is the
-     * CPU backend's way of making per-element dequant a pair of loads.
-     */
-    std::vector<Half> dequant_lut;
-
-    /** Widened (float) mirror of dequant_lut for the fused dequant kernel,
-     *  whose gathered lookup wants 32-bit lanes. Same indexing
-     *  ((group << bits) | code); values bit-identical to widening
-     *  dequant_lut at use. */
-    std::vector<float> dequant_lut_f32;
 };
 
 /**
@@ -196,6 +183,13 @@ class PackedHeadCache
 
     /** Metadata bytes only (scales/zeros), for traffic accounting. */
     double metadataBytes() const;
+
+    /**
+     * Host bytes of every heap buffer the cache owns: the blocks' words
+     * and params, the block lists, the residual, and the shared routing
+     * tables and plans.
+     */
+    std::size_t hostBytes() const;
 
     /**
      * Reference dequantization of the full cache back to [len x d]

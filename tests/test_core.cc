@@ -19,6 +19,8 @@
 #include "core/packing_kernel.h"
 #include "core/query_transform.h"
 #include "core/residual_kernel.h"
+#include "exec/dequant_plan.h"
+#include "exec/simd/dispatch.h"
 #include "gpusim/arch.h"
 
 namespace bitdec::core {
@@ -284,8 +286,47 @@ rowsOf(const Tensor<Half>& m, int from, int to)
     return out;
 }
 
-/** Byte equality of two packed caches: every block's units, params and
- *  both LUTs, and the live residual rows. */
+/** Every supported level's dequant of block @p x of @p cache holds, bit
+ *  for bit, what exec::dequantBlock makes of block @p y. */
+void
+expectDequantsLike(const kv::PackedHeadCache& cache, const kv::PackedBlock& x,
+                   const kv::PackedBlock& y, bool keys,
+                   const std::string& what)
+{
+    const int d = cache.headDim();
+    const int nr = cache.residualBlockSize();
+    const int bits = cache.config().bits;
+    const std::size_t n = static_cast<std::size_t>(nr) * d;
+    std::vector<float> want(n), got(n);
+    std::vector<float> scratch(
+        exec::simd::dequantScratch(x.params.numel(), bits));
+    exec::dequantBlock(y.units, keys ? cache.keyRoutes() : cache.valueRoutes(),
+                       y.params, bits, want.data());
+    const exec::simd::PlanView view =
+        (keys ? cache.keyLinearPlan() : cache.valueLinearPlan()).view();
+    for (auto level : {exec::simd::Level::Scalar, exec::simd::Level::Avx2,
+                       exec::simd::Level::Avx512}) {
+        if (!exec::simd::levelSupported(level))
+            continue;
+        exec::simd::kernels(level)->dequant_linear(
+            x.units.data(), x.params.data(), x.params.numel(), view,
+            got.data(), scratch.data());
+        for (int t = 0; t < nr; t++)
+            for (int c = 0; c < d; c++) {
+                const std::size_t tm = static_cast<std::size_t>(t) * d + c;
+                // Key plans index a channel-major tile.
+                const std::size_t at =
+                    keys ? static_cast<std::size_t>(c) * nr + t : tm;
+                ASSERT_EQ(0, std::memcmp(&got[at], &want[tm], sizeof(float)))
+                    << what << " " << exec::simd::toString(level)
+                    << (keys ? " K" : " V") << " t=" << t << " c=" << c;
+            }
+    }
+}
+
+/** Byte equality of two packed caches: every block's units and params,
+ *  the same dequantized values at every level, and the live residual
+ *  rows. */
 void
 expectSameCache(const kv::PackedHeadCache& a, const kv::PackedHeadCache& b,
                 const std::string& what)
@@ -305,17 +346,11 @@ expectSameCache(const kv::PackedHeadCache& a, const kv::PackedHeadCache& b,
             const kv::PackedBlock& y = (*bb)[i];
             EXPECT_EQ(x.units, y.units) << what << " block " << i;
             ASSERT_EQ(x.params.numel(), y.params.numel()) << what;
-            ASSERT_EQ(x.dequant_lut.size(), y.dequant_lut.size()) << what;
             EXPECT_TRUE(same(x.params.data(), y.params.data(),
                              x.params.numel(), 4))
                 << what << " block " << i;
-            EXPECT_TRUE(same(x.dequant_lut.data(), y.dequant_lut.data(),
-                             x.dequant_lut.size(), 2))
-                << what << " block " << i;
-            EXPECT_TRUE(same(x.dequant_lut_f32.data(),
-                             y.dequant_lut_f32.data(), x.dequant_lut.size(),
-                             4))
-                << what << " block " << i;
+            expectDequantsLike(a, x, y, ba == &a.keyBlocks(),
+                               what + " block " + std::to_string(i));
         }
     }
     const std::size_t live =

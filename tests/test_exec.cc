@@ -186,10 +186,10 @@ TEST(DequantPlan, BlockDequantMatchesReferenceBitExactly)
                     cache.keyBlocks()[static_cast<std::size_t>(blk)];
                 const auto& vb =
                     cache.valueBlocks()[static_cast<std::size_t>(blk)];
-                exec::dequantBlock(kb.units, cache.keyRoutes(),
-                                   kb.dequant_lut, bits, kt.data());
-                exec::dequantBlock(vb.units, cache.valueRoutes(),
-                                   vb.dequant_lut, bits, vt.data());
+                exec::dequantBlock(kb.units, cache.keyRoutes(), kb.params,
+                                   bits, kt.data());
+                exec::dequantBlock(vb.units, cache.valueRoutes(), vb.params,
+                                   bits, vt.data());
                 for (int t = 0; t < nr; t++) {
                     const std::size_t tok =
                         static_cast<std::size_t>(blk * nr + t);

@@ -286,6 +286,37 @@ TEST(PackedCache, MemorySmallerThanFp16)
     EXPECT_GT(packed.metadataBytes(), 0.0);
 }
 
+TEST(PackedCache, HostBytesPerTokenStayLowBit)
+{
+    // What a packed token costs in host memory, every heap buffer the
+    // cache owns counted: the marginal bytes between N and 2N tokens,
+    // per token, against FP16 K and V. KC-4 with group 32 holds
+    // 0.5 B/element of codes plus 4 B per 32-element group, 0.3125x
+    // FP16; any per-block table riding along would push it past 0.35x.
+    quant::QuantConfig qc;
+    qc.bits = 4;
+    qc.group_size = 32;
+    const int d = 128;
+    kv::PackedHeadCache cache(d, qc, WarpTiling{});
+    const int n = 16 * cache.residualBlockSize();
+    Rng rng(64);
+    Tensor<Half> k({static_cast<std::size_t>(n), static_cast<std::size_t>(d)});
+    Tensor<Half> v({static_cast<std::size_t>(n), static_cast<std::size_t>(d)});
+    for (std::size_t i = 0; i < k.numel(); i++) {
+        k[i] = Half(rng.normal());
+        v[i] = Half(rng.normal());
+    }
+    cache.prefill(k, v);
+    const double at_n = static_cast<double>(cache.hostBytes());
+    cache.prefill(k, v);
+    ASSERT_EQ(cache.packedTokens(), 2 * n);
+    const double per_token =
+        (static_cast<double>(cache.hostBytes()) - at_n) / n;
+    const double fp16_per_token = 2.0 * d * sizeof(Half);
+    EXPECT_LE(per_token, 0.35 * fp16_per_token);
+    EXPECT_GE(per_token, 0.3125 * fp16_per_token);
+}
+
 // -------------------------------------------- residual kernel induction ----
 
 /** The table this host packs with (BITDEC_SIMD caps it). */

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -20,6 +21,7 @@
 #include "exec/dequant_plan.h"
 #include "exec/fused_attention.h"
 #include "exec/simd/dispatch.h"
+#include "exec/simd/kernels_generic.h"
 #include "gpusim/arch.h"
 #include "kvcache/kv_cache.h"
 #include "layout/induced_layout.h"
@@ -61,7 +63,8 @@ unsigned
 codeAt(const kv::PackedBlock& b, const exec::simd::LinearDequantPlan& plan,
        std::size_t i)
 {
-    return (b.units[plan.unit[i]] >> plan.shift[i]) & ((1u << plan.bits) - 1);
+    return (b.units[plan.unitOf(i)] >> plan.shiftOf(i)) &
+           ((1u << plan.bits) - 1);
 }
 
 /**
@@ -101,38 +104,65 @@ sweepBlock(Rng& rng, int nr, int d, int gs, bool edges)
     return b;
 }
 
-/** @p got packs like the oracle: same units and params, and both LUTs
- *  hold quant::dequantMagicValue of every (group, code). */
+/** @p got packs like the oracle: same units and params. */
 void
 expectPackedLikeOracle(const kv::PackedBlock& got,
-                       const kv::PackedBlock& oracle, int bits,
-                       const std::string& what)
+                       const kv::PackedBlock& oracle, const std::string& what)
 {
     EXPECT_EQ(got.units, oracle.units) << what;
     ASSERT_EQ(got.params.numel(), oracle.params.numel()) << what;
-    const std::size_t levels = std::size_t{1} << bits;
-    ASSERT_EQ(got.dequant_lut.size(), oracle.params.numel() * levels) << what;
-    ASSERT_EQ(got.dequant_lut_f32.size(), got.dequant_lut.size()) << what;
     int mismatches = 0;
-    for (std::size_t g = 0; g < oracle.params.numel(); g++) {
+    for (std::size_t g = 0; g < oracle.params.numel(); g++)
         if (got.params[g].toWord() != oracle.params[g].toWord() &&
             ++mismatches < 4)
             ADD_FAILURE() << what << " params of group " << g;
-        const quant::QuantParams p =
-            quant::QuantParams::fromHalf2(oracle.params[g]);
-        for (std::size_t q = 0; q < levels; q++) {
-            const Half want(quant::dequantMagicValue(
-                static_cast<std::uint8_t>(q), p));
-            const std::size_t i = g * levels + q;
-            if ((got.dequant_lut[i].bits() != want.bits() ||
-                 !sameBits(got.dequant_lut_f32[i],
-                           halfBitsToFloat(want.bits()))) &&
-                ++mismatches < 4)
-                ADD_FAILURE() << what << " LUT of group " << g << " code "
-                              << q;
-        }
-    }
     EXPECT_EQ(mismatches, 0) << what;
+}
+
+/**
+ * Block @p b of @p cache (keys or values) dequantizes consistently:
+ * exec::dequantBlock gives quant::dequantMagicValue of each code under
+ * its group's params, and every supported level's dequant_linear gives
+ * dequantBlock's bits in the plan's destination order.
+ */
+void
+expectDequantsLikeMagicValue(const kv::PackedHeadCache& cache,
+                             const kv::PackedBlock& b, bool keys,
+                             const std::string& what)
+{
+    const int d = cache.headDim();
+    const int nr = cache.residualBlockSize();
+    const int bits = cache.config().bits;
+    const std::size_t n = static_cast<std::size_t>(nr) * d;
+    const exec::simd::LinearDequantPlan& plan =
+        keys ? cache.keyLinearPlan() : cache.valueLinearPlan();
+    std::vector<float> want(n), got(n);
+    exec::dequantBlock(b.units, keys ? cache.keyRoutes() : cache.valueRoutes(),
+                       b.params, bits, want.data());
+    // Destination i of the plan is token-major element tm of want.
+    const auto tokenMajor = [&](std::size_t i) {
+        return keys ? (i % static_cast<std::size_t>(nr)) * d +
+                          i / static_cast<std::size_t>(nr)
+                    : i;
+    };
+    for (std::size_t i = 0; i < n; i++) {
+        const quant::QuantParams p =
+            quant::QuantParams::fromHalf2(b.params[plan.param[i] >> bits]);
+        const float magic = quant::dequantMagicValue(
+            static_cast<std::uint8_t>(codeAt(b, plan, i)), p);
+        ASSERT_TRUE(sameBits(want[tokenMajor(i)], magic))
+            << what << " dequantBlock vs dequantMagicValue at " << i;
+    }
+    std::vector<float> scratch(
+        exec::simd::dequantScratch(b.params.numel(), bits));
+    for (const auto& [kt, name] : supportedKernelTables()) {
+        std::fill(got.begin(), got.end(), -1.f);
+        kt->dequant_linear(b.units.data(), b.params.data(), b.params.numel(),
+                           plan.view(), got.data(), scratch.data());
+        for (std::size_t i = 0; i < n; i++)
+            ASSERT_TRUE(sameBits(got[i], want[tokenMajor(i)]))
+                << what << " " << name << " vs dequantBlock at " << i;
+    }
 }
 
 struct TilingCase
@@ -183,14 +213,19 @@ TEST_P(InductionSweepP, ResidualBlockAlignsInducedLayout)
                     core::residualKernelPackKeys(kb, qc, klay);
                 const kv::PackedBlock wv =
                     core::residualKernelPackValues(vb, qc, vlay);
+                const std::string cfg = qc.label() + " gs=" +
+                                        std::to_string(gs) +
+                                        (edges ? " edges" : "");
+                expectDequantsLikeMagicValue(cache, wk, true, cfg + " K");
+                expectDequantsLikeMagicValue(cache, wv, false, cfg + " V");
                 for (const auto& [kt, name] : supportedKernelTables()) {
                     kv::PackedBlock ck, cv;
                     kv::packBlock(*kt, cache, kb.data(), vb.data(), ck, cv);
                     const std::string what =
                         std::string(name) + " " + qc.label() + " gs=" +
                         std::to_string(gs) + (edges ? " edges" : "");
-                    expectPackedLikeOracle(ck, wk, bits, what + " K");
-                    expectPackedLikeOracle(cv, wv, bits, what + " V");
+                    expectPackedLikeOracle(ck, wk, what + " K");
+                    expectPackedLikeOracle(cv, wv, what + " V");
                 }
             }
         }
@@ -249,14 +284,6 @@ TEST_P(InductionSweepP, EveryHalfPatternQuantizesLikeQuantizeValue)
                                              want->params.data(),
                                              want->params.numel() * 4))
                         << tables[l].second;
-                    ASSERT_EQ(0, std::memcmp(got->dequant_lut.data(),
-                                             want->dequant_lut.data(),
-                                             want->dequant_lut.size() * 2))
-                        << tables[l].second;
-                    ASSERT_EQ(0, std::memcmp(got->dequant_lut_f32.data(),
-                                             want->dequant_lut_f32.data(),
-                                             want->dequant_lut_f32.size() * 4))
-                        << tables[l].second;
                 }
             }
             const auto& kp = cache.keyLinearPlan();
@@ -304,6 +331,77 @@ INSTANTIATE_TEST_SUITE_P(
                       TilingCase{sim::MmaShape::M16N8K16, 2, 2},
                       TilingCase{sim::MmaShape::M16N8K8, 4, 4},
                       TilingCase{sim::MmaShape::M16N8K8, 2, 2}));
+
+/** expectDequantsLikeMagicValue on @p b with its codes rewritten in
+ *  2^bits rounds: destination i takes (its rank in its group + round),
+ *  so every group meets every code under the block's params. */
+void
+expectEveryCodeDequants(const kv::PackedHeadCache& cache,
+                        const kv::PackedBlock& b, bool keys,
+                        const std::string& what)
+{
+    const int bits = cache.config().bits;
+    const exec::simd::LinearDequantPlan& plan =
+        keys ? cache.keyLinearPlan() : cache.valueLinearPlan();
+    std::vector<unsigned> rank(plan.size());
+    std::vector<unsigned> seen(b.params.numel());
+    for (std::size_t i = 0; i < plan.size(); i++)
+        rank[i] = seen[plan.param[i] >> bits]++;
+    for (unsigned r = 0; r < (1u << bits); r++) {
+        kv::PackedBlock all = b;
+        std::fill(all.units.begin(), all.units.end(), 0u);
+        for (std::size_t i = 0; i < plan.size(); i++)
+            all.units[plan.unitOf(i)] |= ((rank[i] + r) & ((1u << bits) - 1))
+                                         << plan.shiftOf(i);
+        expectDequantsLikeMagicValue(cache, all, keys,
+                                     what + " round " + std::to_string(r));
+    }
+}
+
+TEST(DequantSweep, EveryLevelMatchesDequantBlockAndMagicValue)
+{
+    // The LUT-free dequant over every cache shape it serves: bits 2/4 x
+    // KC/KT x group 16/32/64 x wn 2/4/8, on random and edge-case blocks
+    // (subnormal scales, +-65504, NaN and +-inf zero points), as packed
+    // and with every group meeting every code.
+    const int d = 128;
+    for (int bits : {2, 4})
+        for (const auto gran : {quant::Granularity::ChannelWise,
+                                quant::Granularity::TensorWise})
+            for (int gs : {16, 32, 64})
+                for (int wn : {2, 4, 8}) {
+                    layout::WarpTiling tiling;
+                    tiling.wn = wn;
+                    quant::QuantConfig qc;
+                    qc.bits = bits;
+                    qc.key_granularity = gran;
+                    qc.group_size = gs;
+                    const kv::PackedHeadCache cache(d, qc, tiling);
+                    const int nr = cache.residualBlockSize();
+                    Rng rng(static_cast<std::uint64_t>(bits * 1000 +
+                                                       gs * 10 + wn));
+                    for (bool edges : {false, true}) {
+                        const Tensor<Half> k =
+                            sweepBlock(rng, nr, d, gs, edges);
+                        const Tensor<Half> v =
+                            sweepBlock(rng, nr, d, gs, edges);
+                        kv::PackedBlock kb, vb;
+                        kv::packBlock(*exec::simd::scalarKernels(), cache,
+                                      k.data(), v.data(), kb, vb);
+                        const std::string what =
+                            qc.label() + " gs=" + std::to_string(gs) +
+                            " wn=" + std::to_string(wn) +
+                            (edges ? " edges" : "");
+                        expectDequantsLikeMagicValue(cache, kb, true,
+                                                     what + " K");
+                        expectDequantsLikeMagicValue(cache, vb, false,
+                                                     what + " V");
+                        expectEveryCodeDequants(cache, kb, true, what + " K");
+                        expectEveryCodeDequants(cache, vb, false,
+                                                what + " V");
+                    }
+                }
+}
 
 // -------------------------------------------------- fast-dequant sweeps ----
 
@@ -605,6 +703,40 @@ TEST(SimdProperties, ConvertTransposeMatchesLutAtOddShapes)
     }
 }
 
+TEST(SimdProperties, ScalarNarrowingRoundsLikeFloatToHalfBits)
+{
+    // The portable level's narrowWiden (P's half rounding and the dequant
+    // value rows) must equal halfBitsToFloat(floatToHalfBits(x)) for
+    // every float. Every rounding decision sits at a Half value, the
+    // midpoint to its upper neighbour, or one float step either side of
+    // those; check them all, both signs, plus overflow and NaN payloads.
+    const auto expectSame = [](float x) {
+        const float want = halfBitsToFloat(floatToHalfBits(x));
+        const float got = exec::simd::impl::Lane1::narrowWiden(x);
+        ASSERT_TRUE(sameBits(got, want))
+            << "x bits 0x" << std::hex << std::bit_cast<std::uint32_t>(x);
+    };
+    for (std::uint32_t h = 0; h < 0x7C00; h++) {
+        const float lo = halfBitsToFloat(static_cast<std::uint16_t>(h));
+        const float hi =
+            h + 1 < 0x7C00 ? halfBitsToFloat(static_cast<std::uint16_t>(h + 1))
+                           : 65536.f; // where 65504 rounds away to inf
+        const float mid = lo + (hi - lo) / 2;
+        for (float x : {lo, mid}) {
+            for (float y : {std::nextafter(x, -1.f), x,
+                            std::nextafter(x, 1e30f)}) {
+                expectSame(y);
+                expectSame(-y);
+            }
+        }
+    }
+    for (std::uint32_t bits : {0x7F800000u, 0x7F800001u, 0x7FC00000u,
+                               0x7FFFFFFFu, 0x7F802000u, 0x7FBFE000u,
+                               0x7F7FFFFFu, 0x477FF000u, 0x477FEFFFu})
+        for (std::uint32_t sign : {0u, 0x80000000u})
+            expectSame(std::bit_cast<float>(bits | sign));
+}
+
 TEST(SimdProperties, LinearDequantBitExactUnderExtremeHalves)
 {
     // The gathered linear-plan dequant must reproduce the route-walking
@@ -643,22 +775,22 @@ TEST(SimdProperties, LinearDequantBitExactUnderExtremeHalves)
         const kv::PackedBlock& vb = cache.valueBlocks()[0];
         const std::size_t n = static_cast<std::size_t>(nr) * d;
         std::vector<float> k_ref(n), v_ref(n);
-        exec::dequantBlock(kb.units, cache.keyRoutes(), kb.dequant_lut, bits,
+        exec::dequantBlock(kb.units, cache.keyRoutes(), kb.params, bits,
                            k_ref.data());
-        exec::dequantBlock(vb.units, cache.valueRoutes(), vb.dequant_lut,
-                           bits, v_ref.data());
-        const auto& kp = cache.keyLinearPlan();
-        const auto& vp = cache.valueLinearPlan();
+        exec::dequantBlock(vb.units, cache.valueRoutes(), vb.params, bits,
+                           v_ref.data());
+        const auto kp = cache.keyLinearPlan().view();
+        const auto vp = cache.valueLinearPlan().view();
+        std::vector<float> scratch(exec::simd::dequantScratch(
+            std::max(kb.params.numel(), vb.params.numel()), bits));
         for (const auto& [kt, name] : supportedKernelTables()) {
             std::vector<float> k_simd(n, -1.f), v_simd(n, -1.f);
-            kt->dequant_linear(kb.units.data(), kp.unit.data(),
-                               kp.shift.data(), kp.param.data(), kp.size(),
-                               bits, kb.dequant_lut_f32.data(),
-                               k_simd.data());
-            kt->dequant_linear(vb.units.data(), vp.unit.data(),
-                               vp.shift.data(), vp.param.data(), vp.size(),
-                               bits, vb.dequant_lut_f32.data(),
-                               v_simd.data());
+            kt->dequant_linear(kb.units.data(), kb.params.data(),
+                               kb.params.numel(), kp, k_simd.data(),
+                               scratch.data());
+            kt->dequant_linear(vb.units.data(), vb.params.data(),
+                               vb.params.numel(), vp, v_simd.data(),
+                               scratch.data());
             for (int t = 0; t < nr; t++)
                 for (int c = 0; c < d; c++) {
                     const std::size_t tm =
@@ -681,56 +813,66 @@ TEST(SimdProperties, FoldTileMatchesTokenMajorOracleBitwise)
     // Every level's fold_tile must reproduce exec::foldTile bit for bit —
     // m, l and acc — at shapes off every vector grid (tokens not a
     // multiple of 4 x W, d not a multiple of W), with and without the
-    // packed path's half rounding of P. Two tiles fold in sequence so the
-    // second exercises the running-max rescale of a non-empty state.
-    const int gq = 3;
+    // packed path's half rounding of P, for query groups that leave
+    // every remainder of the fold's row blocks. Two tiles fold in
+    // sequence so the second exercises the running-max rescale of a
+    // non-empty state.
     const float scale = 0.3f;
-    for (const int tokens : {1, 13, 64, 67}) {
-        for (const int d : {4, 24, 37, 128}) {
-            for (const bool round_p : {false, true}) {
-                Rng rng(static_cast<std::uint64_t>(tokens * 1000 + d));
-                const std::size_t n = static_cast<std::size_t>(tokens) * d;
-                std::vector<float> qf(static_cast<std::size_t>(gq) * d);
-                for (float& x : qf)
-                    x = rng.normal();
-                std::vector<float> k[2], v[2], kT[2];
-                for (int i = 0; i < 2; i++) {
-                    k[i].resize(n);
-                    v[i].resize(n);
-                    kT[i].resize(n);
-                    for (std::size_t e = 0; e < n; e++) {
-                        k[i][e] = rng.normal();
-                        v[i][e] = rng.normal();
+    for (const int gq : {1, 2, 3, 4, 5, 8, 16}) {
+        for (const int tokens : {1, 13, 64, 67}) {
+            for (const int d : {4, 24, 37, 128}) {
+                for (const bool round_p : {false, true}) {
+                    Rng rng(static_cast<std::uint64_t>(tokens * 1000 + d));
+                    const std::size_t n =
+                        static_cast<std::size_t>(tokens) * d;
+                    std::vector<float> qf(static_cast<std::size_t>(gq) * d);
+                    for (float& x : qf)
+                        x = rng.normal();
+                    std::vector<float> k[2], v[2], kT[2];
+                    for (int i = 0; i < 2; i++) {
+                        k[i].resize(n);
+                        v[i].resize(n);
+                        kT[i].resize(n);
+                        for (std::size_t e = 0; e < n; e++) {
+                            k[i][e] = rng.normal();
+                            v[i][e] = rng.normal();
+                        }
+                        for (int t = 0; t < tokens; t++)
+                            for (int c = 0; c < d; c++)
+                                kT[i][static_cast<std::size_t>(c) * tokens +
+                                      t] =
+                                    k[i][static_cast<std::size_t>(t) * d + c];
                     }
-                    for (int t = 0; t < tokens; t++)
-                        for (int c = 0; c < d; c++)
-                            kT[i][static_cast<std::size_t>(c) * tokens + t] =
-                                k[i][static_cast<std::size_t>(t) * d + c];
-                }
-                exec::SoftmaxPartial want;
-                want.init(gq, d);
-                for (int i = 0; i < 2; i++)
-                    exec::foldTile(qf.data(), gq, d, k[i].data(), v[i].data(),
-                                   tokens, scale, want, round_p);
-                for (const auto& [kt, name] : supportedKernelTables()) {
-                    exec::SoftmaxPartial got;
-                    got.init(gq, d);
-                    std::vector<float> s(static_cast<std::size_t>(tokens));
+                    exec::SoftmaxPartial want;
+                    want.init(gq, d);
                     for (int i = 0; i < 2; i++)
-                        kt->fold_tile(qf.data(), gq, d, kT[i].data(), tokens,
-                                      v[i].data(), tokens, scale,
-                                      got.m.data(), got.l.data(),
-                                      got.acc.data(), s.data(), round_p);
-                    for (int r = 0; r < gq; r++) {
-                        ASSERT_TRUE(sameBits(got.m[r], want.m[r]))
-                            << name << " tokens=" << tokens << " d=" << d;
-                        ASSERT_TRUE(sameBits(got.l[r], want.l[r]))
-                            << name << " tokens=" << tokens << " d=" << d;
+                        exec::foldTile(qf.data(), gq, d, k[i].data(),
+                                       v[i].data(), tokens, scale, want,
+                                       round_p);
+                    for (const auto& [kt, name] : supportedKernelTables()) {
+                        exec::SoftmaxPartial got;
+                        got.init(gq, d);
+                        std::vector<float> s(static_cast<std::size_t>(gq) *
+                                             static_cast<std::size_t>(tokens));
+                        for (int i = 0; i < 2; i++)
+                            kt->fold_tile(qf.data(), gq, d, kT[i].data(),
+                                          tokens, v[i].data(), tokens, scale,
+                                          got.m.data(), got.l.data(),
+                                          got.acc.data(), s.data(), round_p);
+                        for (int r = 0; r < gq; r++) {
+                            ASSERT_TRUE(sameBits(got.m[r], want.m[r]))
+                                << name << " gq=" << gq << " tokens=" << tokens
+                                << " d=" << d;
+                            ASSERT_TRUE(sameBits(got.l[r], want.l[r]))
+                                << name << " gq=" << gq << " tokens=" << tokens
+                                << " d=" << d;
+                        }
+                        for (std::size_t e = 0; e < got.acc.size(); e++)
+                            ASSERT_TRUE(sameBits(got.acc[e], want.acc[e]))
+                                << name << " gq=" << gq << " tokens=" << tokens
+                                << " d=" << d << " round_p=" << round_p
+                                << " elem=" << e;
                     }
-                    for (std::size_t e = 0; e < got.acc.size(); e++)
-                        ASSERT_TRUE(sameBits(got.acc[e], want.acc[e]))
-                            << name << " tokens=" << tokens << " d=" << d
-                            << " round_p=" << round_p << " elem=" << e;
                 }
             }
         }
