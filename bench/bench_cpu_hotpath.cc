@@ -107,11 +107,11 @@ packedPhases(const kv::PackedHeadCache& cache, const Tensor<Half>& q,
     const int d = cache.headDim();
     const int nr = cache.residualBlockSize();
     const int gq = static_cast<int>(q.dim(0));
-    const int bits = cache.config().bits;
+    const int bits = cache.layout().config.bits;
     const std::size_t tile =
         static_cast<std::size_t>(nr) * static_cast<std::size_t>(d);
-    const exec::simd::PlanView kview = cache.keyLinearPlan().view();
-    const exec::simd::PlanView vview = cache.valueLinearPlan().view();
+    const exec::simd::PlanView kview = cache.layout().k_plan.view();
+    const exec::simd::PlanView vview = cache.layout().v_plan.view();
     const auto& kb = cache.keyBlocks();
     const auto& vb = cache.valueBlocks();
     std::vector<float> kd_buf, vd_buf, s_buf, dq_buf;
@@ -129,7 +129,7 @@ packedPhases(const kv::PackedHeadCache& cache, const Tensor<Half>& q,
         float* dq = exec::alignedScratch(
             dq_buf, exec::simd::dequantScratch(
                         tile / static_cast<std::size_t>(
-                                   cache.config().group_size),
+                                   cache.layout().config.group_size),
                         bits));
         const auto dequant = [&](std::size_t b) {
             kt.dequant_linear(kb[b].units.data(), kb[b].params.data(),

@@ -256,12 +256,19 @@ Cluster::aggregateRound(const std::vector<serving::ServingMetrics>& per_shard,
 std::string
 Cluster::admissionError(const serving::Request& r) const
 {
+    return admission(r).message;
+}
+
+serving::Admission
+Cluster::admission(const serving::Request& r) const
+{
     if (shard_of_.find(r.id) != shard_of_.end())
-        return detail::concat("duplicate request id ", r.id,
-                              " submitted to cluster");
+        return {serving::AdmissionCode::DuplicateId,
+                detail::concat("duplicate request id ", r.id,
+                               " submitted to cluster")};
     // Shards are identical replicas, so any shard's engine answers for
     // the whole cluster (the id is known to none of them — see above).
-    return shards_.front()->admissionError(r);
+    return shards_.front()->admission(r);
 }
 
 void

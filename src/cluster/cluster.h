@@ -87,6 +87,7 @@ class Cluster final : public serving::ServingClient
      * last streamEnd() is kept in clusterMetrics().
      */
     std::string admissionError(const serving::Request& r) const override;
+    serving::Admission admission(const serving::Request& r) const override;
     void streamBegin(serving::TokenSink sink = {}) override;
     int streamSubmit(const serving::Request& r) override;
     bool streamCancel(int id) override;

@@ -128,8 +128,8 @@ packingKernelAttention(const Tensor<Half>& q_tile,
     BITDEC_ASSERT(gq >= 1 && gq <= 16, "query tile must fit one m16 tile");
     BITDEC_ASSERT(static_cast<int>(q_tile.dim(1)) == d, "query width mismatch");
 
-    const layout::WarpTiling& tiling = cache.tiling();
-    const quant::QuantConfig& cfg = cache.config();
+    const layout::WarpTiling& tiling = cache.layout().tiling;
+    const quant::QuantConfig& cfg = cache.layout().config;
     const int wn = tiling.wn;
     const int nr = cache.residualBlockSize();
     const int m_tile = 16;
@@ -158,8 +158,8 @@ packingKernelAttention(const Tensor<Half>& q_tile,
     for (int kt = 0; kt < k_tiles_d; kt++)
         q_frags.push_back(loadFragment(la, q_pad, 0, kt * pk));
 
-    const layout::InducedLayout& klay = cache.keyLayout();
-    const layout::InducedLayout& vlay = cache.valueLayout();
+    const layout::InducedLayout& klay = cache.layout().k_layout;
+    const layout::InducedLayout& vlay = cache.layout().v_layout;
     const int r = klay.tilesPerUnit();
 
     for (std::size_t blk = 0; blk < cache.keyBlocks().size(); blk++) {
@@ -387,9 +387,9 @@ fusedPackedAttention(const Tensor<Half>& q_tile,
     BITDEC_ASSERT(gq >= 1 && gq <= 16, "query tile must fit one m16 tile");
     BITDEC_ASSERT(static_cast<int>(q_tile.dim(1)) == d, "query width mismatch");
     const int nr = cache.residualBlockSize();
-    const int bits = cache.config().bits;
+    const int bits = cache.layout().config.bits;
     const std::size_t group_size =
-        static_cast<std::size_t>(cache.config().group_size);
+        static_cast<std::size_t>(cache.layout().config.group_size);
     const std::size_t dd = static_cast<std::size_t>(d);
 
     // Q converts once, in bulk.
@@ -398,8 +398,8 @@ fusedPackedAttention(const Tensor<Half>& q_tile,
 
     const auto& k_blocks = cache.keyBlocks();
     const auto& v_blocks = cache.valueBlocks();
-    const exec::simd::PlanView kview = cache.keyLinearPlan().view();
-    const exec::simd::PlanView vview = cache.valueLinearPlan().view();
+    const exec::simd::PlanView kview = cache.layout().k_plan.view();
+    const exec::simd::PlanView vview = cache.layout().v_plan.view();
     const int n_blocks = static_cast<int>(k_blocks.size());
     const int n_chunks = (n_blocks + kChunkBlocks - 1) / kChunkBlocks;
 

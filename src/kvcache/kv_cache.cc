@@ -1,6 +1,10 @@
 #include "kvcache/kv_cache.h"
 
 #include <algorithm>
+#include <array>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "common/logging.h"
 #include "exec/simd/dispatch.h"
@@ -60,79 +64,117 @@ Fp16HeadCache::deviceBytes() const
     return 2.0 * len_ * head_dim_ * 2.0; // K and V, 2 bytes per half
 }
 
-PackedHeadCache::PackedHeadCache(int head_dim, const quant::QuantConfig& config,
-                                 const layout::WarpTiling& tiling)
-    : head_dim_(head_dim),
-      config_(config),
-      tiling_(tiling),
-      nr_(layout::residualBlockSize(tiling, config.bits)),
-      k_layout_(tiling, config.bits, head_dim, nr_),
-      v_layout_(tiling, config.bits, nr_, head_dim),
-      k_res_({static_cast<std::size_t>(nr_), static_cast<std::size_t>(head_dim)}),
-      v_res_({static_cast<std::size_t>(nr_), static_cast<std::size_t>(head_dim)}),
-      kt_(&exec::simd::requireKernels(exec::simd::enabledLevelCap()))
+namespace {
+
+/**
+ * Dequant routing of one block's codes into a token-major [Nr x d]
+ * scratch tile. Keys pack transposed ([d x Nr]: row = channel, col =
+ * token), values natural ([Nr x d]: row = token, col = channel). Group
+ * indices follow the flat order of the blocks' params tensors: [Nr x d/gs]
+ * at (token, channel/gs) tensor-wise, [Nr/gs x d] at (token/gs, channel)
+ * channel-wise (keys only; values are always tensor-wise).
+ */
+std::vector<exec::CodeRoute>
+blockRoutes(const layout::InducedLayout& lay, int head_dim, int group_size,
+            bool transposed, bool tensor_wise)
+{
+    const auto d = static_cast<std::uint32_t>(head_dim);
+    const auto gs = static_cast<std::uint32_t>(group_size);
+    const auto token_channel = [transposed](int row, int col) {
+        return transposed ? std::pair<std::uint32_t, std::uint32_t>(col, row)
+                          : std::pair<std::uint32_t, std::uint32_t>(row, col);
+    };
+    return exec::buildDequantRoutes(
+        lay,
+        [=](int row, int col) {
+            const auto [t, c] = token_channel(row, col);
+            return t * d + c;
+        },
+        [=](int row, int col) {
+            const auto [t, c] = token_channel(row, col);
+            return tensor_wise ? t * (d / gs) + c / gs : (t / gs) * d + c;
+        });
+}
+
+} // namespace
+
+std::shared_ptr<const PackedLayout>
+PackedLayout::shared(int head_dim, const quant::QuantConfig& config,
+                     const layout::WarpTiling& tiling)
+{
+    static std::mutex mu;
+    static std::map<std::array<int, 7>, std::weak_ptr<const PackedLayout>>
+        interned;
+    const std::array<int, 7> key{
+        head_dim, config.bits, static_cast<int>(config.key_granularity),
+        config.group_size, static_cast<int>(tiling.mma), tiling.wm, tiling.wn};
+    const std::lock_guard<std::mutex> lock(mu);
+    // Drop the shapes no cache holds any more, so a sweep over many
+    // shapes leaves nothing behind.
+    std::erase_if(interned, [](const auto& e) { return e.second.expired(); });
+    std::weak_ptr<const PackedLayout>& slot = interned[key];
+    std::shared_ptr<const PackedLayout> layout = slot.lock();
+    if (!layout)
+        slot = layout =
+            std::make_shared<const PackedLayout>(head_dim, config, tiling);
+    return layout;
+}
+
+PackedLayout::PackedLayout(int head_dim, const quant::QuantConfig& config,
+                           const layout::WarpTiling& tiling)
+    : head_dim(head_dim),
+      config(config),
+      tiling(tiling),
+      nr(layout::residualBlockSize(tiling, config.bits)),
+      k_layout(tiling, config.bits, head_dim, nr),
+      v_layout(tiling, config.bits, nr, head_dim),
+      k_routes(blockRoutes(
+          k_layout, head_dim, config.group_size, /*transposed=*/true,
+          config.key_granularity == quant::Granularity::TensorWise)),
+      v_routes(blockRoutes(v_layout, head_dim, config.group_size,
+                           /*transposed=*/false, /*tensor_wise=*/true)),
+      // The key plan remaps every token-major destination t*d+c to the
+      // channel-major slot c*Nr+t, so the vector path dequantizes keys
+      // directly into QK's preferred layout.
+      k_plan(exec::simd::buildLinearDequantPlan(
+          k_routes, config.bits, static_cast<std::size_t>(nr) * head_dim,
+          [du = static_cast<std::uint32_t>(head_dim),
+           nru = static_cast<std::uint32_t>(nr)](std::uint32_t dest) {
+              return (dest % du) * nru + dest / du;
+          })),
+      v_plan(exec::simd::buildLinearDequantPlan(
+          v_routes, config.bits, static_cast<std::size_t>(nr) * head_dim))
 {
     BITDEC_ASSERT(head_dim % tiling.pk() == 0,
                   "head_dim must be a multiple of the MMA K extent");
-    BITDEC_ASSERT(nr_ % tiling.pk() == 0,
+    BITDEC_ASSERT(nr % tiling.pk() == 0,
                   "residual block must be a multiple of the MMA K extent");
+}
 
-    // Dequant routing shared by every block: both K and V land in a
-    // token-major [Nr x d] scratch tile; the parameter-group indices match
-    // the flat order of the blocks' params tensors.
-    const std::uint32_t d = static_cast<std::uint32_t>(head_dim);
-    const std::uint32_t gs = static_cast<std::uint32_t>(config.group_size);
-    // Keys pack transposed ([d x Nr]): row = channel, col = token.
-    const auto k_dest = [d](int row, int col) {
-        return static_cast<std::uint32_t>(col) * d +
-               static_cast<std::uint32_t>(row);
-    };
-    const auto k_param =
-        config.key_granularity == quant::Granularity::TensorWise
-            ? std::function<std::uint32_t(int, int)>(
-                  [d, gs](int row, int col) {
-                      // params [Nr x d/gs] at (token, channel/gs)
-                      return static_cast<std::uint32_t>(col) * (d / gs) +
-                             static_cast<std::uint32_t>(row) / gs;
-                  })
-            : std::function<std::uint32_t(int, int)>(
-                  [d, gs](int row, int col) {
-                      // params [Nr/gs x d] at (token/gs, channel)
-                      return (static_cast<std::uint32_t>(col) / gs) * d +
-                             static_cast<std::uint32_t>(row);
-                  });
-    k_routes_ = exec::buildDequantRoutes(k_layout_, k_dest, k_param);
-    // Values pack natural ([Nr x d]): row = token, col = channel;
-    // params are always tensor-wise, [Nr x d/gs] at (token, channel/gs).
-    const auto v_dest = [d](int row, int col) {
-        return static_cast<std::uint32_t>(row) * d +
-               static_cast<std::uint32_t>(col);
-    };
-    const auto v_param = [d, gs](int row, int col) {
-        return static_cast<std::uint32_t>(row) * (d / gs) +
-               static_cast<std::uint32_t>(col) / gs;
-    };
-    v_routes_ = exec::buildDequantRoutes(v_layout_, v_dest, v_param);
+std::size_t
+PackedLayout::hostBytes() const
+{
+    return (k_routes.capacity() + v_routes.capacity()) *
+               sizeof(exec::CodeRoute) +
+           k_plan.hostBytes() + v_plan.hostBytes();
+}
 
-    // SoA plans for the SIMD dequant kernel. The key plan remaps every
-    // token-major destination t*d+c to the channel-major slot c*Nr+t, so
-    // the vector path dequantizes keys directly into QK's preferred layout.
-    const std::size_t n_elems =
-        static_cast<std::size_t>(nr_) * static_cast<std::size_t>(head_dim);
-    const std::uint32_t du = static_cast<std::uint32_t>(head_dim);
-    const std::uint32_t nru = static_cast<std::uint32_t>(nr_);
-    k_linear_ = exec::simd::buildLinearDequantPlan(
-        k_routes_, config.bits, n_elems,
-        [du, nru](std::uint32_t dest) { return (dest % du) * nru + dest / du; });
-    v_linear_ = exec::simd::buildLinearDequantPlan(v_routes_, config.bits,
-                                                   n_elems);
+PackedHeadCache::PackedHeadCache(int head_dim, const quant::QuantConfig& config,
+                                 const layout::WarpTiling& tiling)
+    : layout_(PackedLayout::shared(head_dim, config, tiling)),
+      k_res_({static_cast<std::size_t>(layout_->nr),
+              static_cast<std::size_t>(head_dim)}),
+      v_res_({static_cast<std::size_t>(layout_->nr),
+              static_cast<std::size_t>(head_dim)}),
+      kt_(&exec::simd::requireKernels(exec::simd::enabledLevelCap()))
+{
 }
 
 void
 PackedHeadCache::append(const std::vector<Half>& k, const std::vector<Half>& v)
 {
-    BITDEC_ASSERT(static_cast<int>(k.size()) == head_dim_ &&
-                  static_cast<int>(v.size()) == head_dim_,
+    BITDEC_ASSERT(static_cast<int>(k.size()) == headDim() &&
+                  static_cast<int>(v.size()) == headDim(),
                   "K/V vector length must equal head_dim");
     appendRow(k.data(), v.data());
 }
@@ -140,12 +182,12 @@ PackedHeadCache::append(const std::vector<Half>& k, const std::vector<Half>& v)
 void
 PackedHeadCache::appendRow(const Half* k, const Half* v)
 {
-    const std::size_t d = static_cast<std::size_t>(head_dim_);
+    const std::size_t d = static_cast<std::size_t>(headDim());
     const std::size_t at = static_cast<std::size_t>(res_len_) * d;
     std::copy(k, k + d, k_res_.data() + at);
     std::copy(v, v + d, v_res_.data() + at);
     res_len_++;
-    if (res_len_ == nr_) {
+    if (res_len_ == residualBlockSize()) {
         packRows(k_res_.data(), v_res_.data());
         res_len_ = 0;
     }
@@ -155,12 +197,12 @@ void
 PackedHeadCache::prefill(const Tensor<Half>& k, const Tensor<Half>& v)
 {
     BITDEC_ASSERT(k.rank() == 2 && v.rank() == 2 && k.dim(0) == v.dim(0) &&
-                  static_cast<int>(k.dim(1)) == head_dim_ &&
-                  static_cast<int>(v.dim(1)) == head_dim_,
+                  static_cast<int>(k.dim(1)) == headDim() &&
+                  static_cast<int>(v.dim(1)) == headDim(),
                   "prefill tensors must be [len x head_dim]");
     const std::size_t len = k.dim(0);
-    const std::size_t d = static_cast<std::size_t>(head_dim_);
-    const std::size_t nr = static_cast<std::size_t>(nr_);
+    const std::size_t d = static_cast<std::size_t>(headDim());
+    const std::size_t nr = static_cast<std::size_t>(residualBlockSize());
     std::size_t t = 0;
     // Top up a partly filled residual first, so later blocks start on a
     // block boundary; then pack whole blocks straight from the input.
@@ -176,10 +218,10 @@ void
 PackedHeadCache::packRows(const Half* k, const Half* v)
 {
     PackedBlock kb, vb;
-    packBlock(*kt_, *this, k, v, kb, vb);
+    packBlock(*kt_, *layout_, k, v, kb, vb);
     k_blocks_.push_back(std::move(kb));
     v_blocks_.push_back(std::move(vb));
-    packed_tokens_ += nr_;
+    packed_tokens_ += residualBlockSize();
 }
 
 double
@@ -190,7 +232,7 @@ PackedHeadCache::deviceBytes() const
         bytes += b.units.size() * 4.0 + b.params.numel() * 4.0;
     for (const auto& b : v_blocks_)
         bytes += b.units.size() * 4.0 + b.params.numel() * 4.0;
-    bytes += 2.0 * nr_ * head_dim_ * 2.0; // residual K and V buffers
+    bytes += 2.0 * residualBlockSize() * headDim() * 2.0; // residual K, V
     return bytes;
 }
 
@@ -216,9 +258,6 @@ PackedHeadCache::hostBytes() const
                      b.params.numel() * sizeof(Half2);
     }
     bytes += (k_res_.numel() + v_res_.numel()) * sizeof(Half);
-    bytes += (k_routes_.capacity() + v_routes_.capacity()) *
-             sizeof(exec::CodeRoute);
-    bytes += k_linear_.hostBytes() + v_linear_.hostBytes();
     return bytes;
 }
 
@@ -226,40 +265,40 @@ void
 PackedHeadCache::dequantizeAll(Tensor<Half>& k_out, Tensor<Half>& v_out) const
 {
     const int len = length();
-    k_out.reset({static_cast<std::size_t>(len),
-                 static_cast<std::size_t>(head_dim_)});
-    v_out.reset({static_cast<std::size_t>(len),
-                 static_cast<std::size_t>(head_dim_)});
+    const int hd = headDim();
+    const int nr = residualBlockSize();
+    const quant::QuantConfig& cfg = layout_->config;
+    k_out.reset({static_cast<std::size_t>(len), static_cast<std::size_t>(hd)});
+    v_out.reset({static_cast<std::size_t>(len), static_cast<std::size_t>(hd)});
 
     for (std::size_t blk = 0; blk < k_blocks_.size(); blk++) {
         // Keys were packed transposed ([d x Nr]); params stay in K-natural
         // (token, channel) indexing.
         const Tensor<std::uint8_t> kc =
-            unpackInduced(k_layout_, k_blocks_[blk].units);
+            unpackInduced(layout_->k_layout, k_blocks_[blk].units);
         const Tensor<std::uint8_t> vc =
-            unpackInduced(v_layout_, v_blocks_[blk].units);
-        for (int t = 0; t < nr_; t++) {
-            const std::size_t tok = blk * static_cast<std::size_t>(nr_) +
+            unpackInduced(layout_->v_layout, v_blocks_[blk].units);
+        for (int t = 0; t < nr; t++) {
+            const std::size_t tok = blk * static_cast<std::size_t>(nr) +
                                     static_cast<std::size_t>(t);
-            for (int d = 0; d < head_dim_; d++) {
+            for (int d = 0; d < hd; d++) {
                 // Key params: granularity per config over [Nr x d].
                 quant::QuantParams kp;
-                if (config_.key_granularity ==
-                    quant::Granularity::TensorWise) {
+                if (cfg.key_granularity == quant::Granularity::TensorWise) {
                     kp = quant::QuantParams::fromHalf2(
                         k_blocks_[blk].params.at(
                             static_cast<std::size_t>(t),
-                            static_cast<std::size_t>(d / config_.group_size)));
+                            static_cast<std::size_t>(d / cfg.group_size)));
                 } else {
                     kp = quant::QuantParams::fromHalf2(
                         k_blocks_[blk].params.at(
-                            static_cast<std::size_t>(t / config_.group_size),
+                            static_cast<std::size_t>(t / cfg.group_size),
                             static_cast<std::size_t>(d)));
                 }
                 const quant::QuantParams vp = quant::QuantParams::fromHalf2(
                     v_blocks_[blk].params.at(
                         static_cast<std::size_t>(t),
-                        static_cast<std::size_t>(d / config_.group_size)));
+                        static_cast<std::size_t>(d / cfg.group_size)));
                 // Magic-folded arithmetic: what the Packing Kernel's lop3
                 // fast path computes on device.
                 k_out.at(tok, static_cast<std::size_t>(d)) =
@@ -278,7 +317,7 @@ PackedHeadCache::dequantizeAll(Tensor<Half>& k_out, Tensor<Half>& v_out) const
     for (int t = 0; t < res_len_; t++) {
         const std::size_t tok =
             static_cast<std::size_t>(packed_tokens_ + t);
-        for (int d = 0; d < head_dim_; d++) {
+        for (int d = 0; d < hd; d++) {
             k_out.at(tok, static_cast<std::size_t>(d)) =
                 k_res_.at(static_cast<std::size_t>(t),
                           static_cast<std::size_t>(d));
@@ -290,13 +329,13 @@ PackedHeadCache::dequantizeAll(Tensor<Half>& k_out, Tensor<Half>& v_out) const
 }
 
 void
-packBlock(const exec::simd::KernelTable& kt, const PackedHeadCache& cache,
+packBlock(const exec::simd::KernelTable& kt, const PackedLayout& layout,
           const Half* k_rows, const Half* v_rows, PackedBlock& k_out,
           PackedBlock& v_out)
 {
-    const quant::QuantConfig& qc = cache.config();
-    const int d = cache.headDim();
-    const int nr = cache.residualBlockSize();
+    const quant::QuantConfig& qc = layout.config;
+    const int d = layout.head_dim;
+    const int nr = layout.nr;
     const std::size_t n =
         static_cast<std::size_t>(nr) * static_cast<std::size_t>(d);
     const std::size_t gs = static_cast<std::size_t>(qc.group_size);
@@ -325,8 +364,8 @@ packBlock(const exec::simd::KernelTable& kt, const PackedHeadCache& cache,
                          plan.view(), channel_major, out.units.data(),
                          out.params.data(), scratch.data());
     };
-    pack(k_rows, kc, cache.keyLinearPlan(), true, k_out);
-    pack(v_rows, false, cache.valueLinearPlan(), false, v_out);
+    pack(k_rows, kc, layout.k_plan, true, k_out);
+    pack(v_rows, false, layout.v_plan, false, v_out);
 }
 
 } // namespace bitdec::kv

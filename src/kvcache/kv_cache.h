@@ -13,6 +13,7 @@
 #define BITDEC_KVCACHE_KV_CACHE_H
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/half.h"
@@ -76,14 +77,55 @@ struct PackedBlock
 };
 
 /**
+ * Everything about a packed cache that follows from its shape alone —
+ * (d, QuantConfig, WarpTiling) — built once per shape (Section V-B/C):
+ * Nr, the K/V induced layouts, the dequant routing and the SoA plans
+ * inverted from it. Immutable, so any number of caches and pool threads
+ * read one copy without locks; shared() interns one instance per shape.
+ */
+struct PackedLayout
+{
+    /**
+     * The one live layout of this shape: built on first use, shared by
+     * every cache that holds it, and freed with the last of them.
+     */
+    static std::shared_ptr<const PackedLayout>
+    shared(int head_dim, const quant::QuantConfig& config,
+           const layout::WarpTiling& tiling);
+
+    PackedLayout(int head_dim, const quant::QuantConfig& config,
+                 const layout::WarpTiling& tiling);
+
+    /** Host bytes of the routing tables and plans. */
+    std::size_t hostBytes() const;
+
+    const int head_dim;
+    const quant::QuantConfig config;
+    const layout::WarpTiling tiling;
+    const int nr; //!< residual block capacity Nr (Eq. 1)
+
+    const layout::InducedLayout k_layout; //!< key blocks: [d x Nr]
+    const layout::InducedLayout v_layout; //!< value blocks: [Nr x d]
+
+    //! Dequant routing into a token-major [Nr x d] scratch tile.
+    const std::vector<exec::CodeRoute> k_routes, v_routes;
+
+    //! SoA inversions of the routes for the SIMD dequant kernel. The key
+    //! plan writes a channel-major [d x Nr] tile — the layout the vector
+    //! QK loop reads, so no transpose pass; the value plan token-major.
+    const exec::simd::LinearDequantPlan k_plan, v_plan;
+};
+
+/**
  * BitDecoding's partitioned low-bit cache for one head.
  *
  * Tokens enter the FP16 residual buffer; every time the residual reaches
  * Nr tokens the block is handed to the Residual Kernel path: quantized
  * (key granularity per config, values tensor-wise), packed through the
- * induced layout, and appended to the packed region. Packing runs on the
- * kernel table of the host's enabled SIMD level (BITDEC_SIMD caps it),
- * resolved once at construction; every level writes the same bytes.
+ * shape's shared PackedLayout, and appended to the packed region. Packing
+ * runs on the kernel table of the host's enabled SIMD level (BITDEC_SIMD
+ * caps it), resolved once at construction; every level writes the same
+ * bytes.
  */
 class PackedHeadCache
 {
@@ -117,7 +159,13 @@ class PackedHeadCache
     int residualLength() const { return res_len_; }
 
     /** Residual block capacity Nr from Eq. 1. */
-    int residualBlockSize() const { return nr_; }
+    int residualBlockSize() const { return layout_->nr; }
+
+    /** Per-head hidden size. */
+    int headDim() const { return layout_->head_dim; }
+
+    /** The shape's shared layout, routes and plans. */
+    const PackedLayout& layout() const { return *layout_; }
 
     /** Packed key blocks, oldest first. */
     const std::vector<PackedBlock>& keyBlocks() const { return k_blocks_; }
@@ -131,53 +179,6 @@ class PackedHeadCache
     /** Residual FP16 values. */
     const Tensor<Half>& residualValues() const { return v_res_; }
 
-    /** Layout used to pack key blocks (B operand of QK^T: d x Nr). */
-    const layout::InducedLayout& keyLayout() const { return k_layout_; }
-
-    /** Layout used to pack value blocks (B operand of PV: Nr x d). */
-    const layout::InducedLayout& valueLayout() const { return v_layout_; }
-
-    /** Quantization configuration. */
-    const quant::QuantConfig& config() const { return config_; }
-
-    /** Warp tiling. */
-    const layout::WarpTiling& tiling() const { return tiling_; }
-
-    /** Per-head hidden size. */
-    int headDim() const { return head_dim_; }
-
-    /**
-     * Dequant routing for key blocks: scratch destinations index a
-     * token-major [Nr x d] tile. Shared by all blocks of this cache.
-     */
-    const std::vector<exec::CodeRoute>& keyRoutes() const { return k_routes_; }
-
-    /** Dequant routing for value blocks (token-major [Nr x d] scratch). */
-    const std::vector<exec::CodeRoute>&
-    valueRoutes() const
-    {
-        return v_routes_;
-    }
-
-    /**
-     * Dest-ordered (SoA) inversion of keyRoutes() for the fused dequant
-     * kernel, remapped to a channel-major [d x Nr] scratch tile — the
-     * layout the vector QK loop reads, so packed keys dequantize straight
-     * into it with no transpose pass.
-     */
-    const exec::simd::LinearDequantPlan&
-    keyLinearPlan() const
-    {
-        return k_linear_;
-    }
-
-    /** SoA inversion of valueRoutes() (token-major [Nr x d]). */
-    const exec::simd::LinearDequantPlan&
-    valueLinearPlan() const
-    {
-        return v_linear_;
-    }
-
     /** Device bytes: packed words + metadata + residual. */
     double deviceBytes() const;
 
@@ -186,8 +187,8 @@ class PackedHeadCache
 
     /**
      * Host bytes of every heap buffer the cache owns: the blocks' words
-     * and params, the block lists, the residual, and the shared routing
-     * tables and plans.
+     * and params, the block lists and the residual. The shared layout
+     * is counted once, by PackedLayout::hostBytes().
      */
     std::size_t hostBytes() const;
 
@@ -204,19 +205,7 @@ class PackedHeadCache
     /** Packs Nr token rows of K and V into the next block. */
     void packRows(const Half* k, const Half* v);
 
-    int head_dim_;
-    quant::QuantConfig config_;
-    layout::WarpTiling tiling_;
-    int nr_;
-
-    layout::InducedLayout k_layout_; //!< for one block: [d x Nr]
-    layout::InducedLayout v_layout_; //!< for one block: [Nr x d]
-
-    std::vector<exec::CodeRoute> k_routes_; //!< shared key dequant routing
-    std::vector<exec::CodeRoute> v_routes_; //!< shared value dequant routing
-
-    exec::simd::LinearDequantPlan k_linear_; //!< SoA keys, channel-major
-    exec::simd::LinearDequantPlan v_linear_; //!< SoA values, token-major
+    std::shared_ptr<const PackedLayout> layout_;
 
     std::vector<PackedBlock> k_blocks_;
     std::vector<PackedBlock> v_blocks_;
@@ -231,7 +220,7 @@ class PackedHeadCache
 
 /**
  * Quantizes one Nr-token block the way the Residual Kernel does and packs
- * it through @p cache's induced layouts, in one pass on kernel table
+ * it through @p layout's induced layouts, in one pass on kernel table
  * @p kt (every level writes the same bytes). PackedHeadCache packs
  * every block through it; exposed for tests.
  *
@@ -240,7 +229,7 @@ class PackedHeadCache
  *
  * @param k_rows,v_rows token-major [Nr x d] rows
  */
-void packBlock(const exec::simd::KernelTable& kt, const PackedHeadCache& cache,
+void packBlock(const exec::simd::KernelTable& kt, const PackedLayout& layout,
                const Half* k_rows, const Half* v_rows, PackedBlock& k_out,
                PackedBlock& v_out);
 

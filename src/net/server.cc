@@ -203,17 +203,21 @@ Server::handleSubmit(Conn& c, const std::string& payload)
     r.idle_wake_s = m.idle_wake_s;
     r.deadline_s = m.deadline_s;
 
-    const std::string err = client_.admissionError(r);
-    if (!err.empty()) {
-        // Same fail-fast message the in-process CLI dies with, as a
-        // typed frame: duplicate ids and impossible-fit requests get
-        // their own codes so clients can react without parsing text.
-        ErrorCode code = ErrorCode::InvalidRequest;
-        if (err.find("duplicate request id") != std::string::npos)
-            code = ErrorCode::DuplicateId;
-        else if (err.find("can never fit") != std::string::npos)
-            code = ErrorCode::OverCapacity;
-        sendError(c, m.id, code, err);
+    // Same fail-fast message the in-process CLI dies with, as a typed
+    // frame: duplicate ids and impossible-fit requests get their own
+    // codes so clients can react without parsing text.
+    const serving::Admission adm = client_.admission(r);
+    switch (adm.code) {
+    case serving::AdmissionCode::Ok:
+        break;
+    case serving::AdmissionCode::Invalid:
+        sendError(c, m.id, ErrorCode::InvalidRequest, adm.message);
+        return;
+    case serving::AdmissionCode::OverCapacity:
+        sendError(c, m.id, ErrorCode::OverCapacity, adm.message);
+        return;
+    case serving::AdmissionCode::DuplicateId:
+        sendError(c, m.id, ErrorCode::DuplicateId, adm.message);
         return;
     }
 

@@ -55,6 +55,14 @@ ServingClient::drain()
     return streamEnd();
 }
 
+Admission
+ServingClient::admission(const Request& r) const
+{
+    std::string message = admissionError(r);
+    return {message.empty() ? AdmissionCode::Ok : AdmissionCode::Invalid,
+            std::move(message)};
+}
+
 EngineClient::EngineClient(const sim::GpuArch& arch,
                            const model::ModelConfig& model,
                            const EngineConfig& cfg)
@@ -87,9 +95,16 @@ EngineClient::stats() const
 std::string
 EngineClient::admissionError(const Request& r) const
 {
+    return admission(r).message;
+}
+
+Admission
+EngineClient::admission(const Request& r) const
+{
     if (index_.find(r.id) != index_.end())
-        return detail::concat("duplicate request id ", r.id, " submitted");
-    return engine_.admissionError(sanitized(r));
+        return {AdmissionCode::DuplicateId,
+                detail::concat("duplicate request id ", r.id, " submitted")};
+    return engine_.admission(sanitized(r));
 }
 
 void

@@ -111,6 +111,13 @@ class ServingClient
     virtual std::string admissionError(const Request& r) const = 0;
 
     /**
+     * admissionError() with its cause as a code, for front ends that
+     * answer each cause differently. Clients that know the cause
+     * override it; by default every rejection is Invalid.
+     */
+    virtual Admission admission(const Request& r) const;
+
+    /**
      * Opens a stream. @p sink (may be empty) observes every generated
      * token as a TokenEvent in deterministic batch order.
      */
@@ -169,6 +176,7 @@ class EngineClient final : public ServingClient
     ClientStats stats() const override;
 
     std::string admissionError(const Request& r) const override;
+    Admission admission(const Request& r) const override;
     void streamBegin(TokenSink sink = {}) override;
     int streamSubmit(const Request& r) override;
     bool streamCancel(int id) override;

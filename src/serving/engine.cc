@@ -439,40 +439,41 @@ Engine::evictIdleVictim(double now)
     return true;
 }
 
-std::string
-Engine::admissionError(const Request& r) const
+Admission
+Engine::admission(const Request& r) const
 {
+    const auto invalid = [](auto&&... parts) {
+        return Admission{AdmissionCode::Invalid, detail::concat(parts...)};
+    };
     if (r.prompt_tokens < 1 || r.output_tokens < 1)
-        return detail::concat("request ", r.id,
-                              " needs a non-empty prompt and "
-                              "output budget (got ",
-                              r.prompt_tokens, "/", r.output_tokens, ")");
+        return invalid("request ", r.id,
+                       " needs a non-empty prompt and "
+                       "output budget (got ",
+                       r.prompt_tokens, "/", r.output_tokens, ")");
     if (r.prefix_tokens < 0 || r.prefix_tokens > r.prompt_tokens ||
         (r.prefix_tokens > 0 && r.prefix_id == 0))
-        return detail::concat("request ", r.id,
-                              " has an invalid shared prefix (",
-                              r.prefix_tokens, " of ", r.prompt_tokens,
-                              " prompt tokens, id ", r.prefix_id, ")");
+        return invalid("request ", r.id, " has an invalid shared prefix (",
+                       r.prefix_tokens, " of ", r.prompt_tokens,
+                       " prompt tokens, id ", r.prefix_id, ")");
     if (cache_.pagesFor(r.prompt_tokens + r.output_tokens) +
             cfg_.sched.reserve_pages >
         cache_.totalPages())
-        return detail::concat("request ", r.id, " (", r.prompt_tokens, "+",
-                              r.output_tokens,
-                              " tokens) can never fit the page pool of ",
-                              cache_.totalPages(), " pages");
+        return {AdmissionCode::OverCapacity,
+                detail::concat("request ", r.id, " (", r.prompt_tokens, "+",
+                               r.output_tokens,
+                               " tokens) can never fit the page pool of ",
+                               cache_.totalPages(), " pages")};
     if (r.idle_after_tokens > 0 &&
         (r.idle_after_tokens >= r.output_tokens || r.idle_wake_s < 0))
-        return detail::concat("request ", r.id, " parks after ",
-                              r.idle_after_tokens, " of ", r.output_tokens,
-                              " output tokens with wake time ",
-                              r.idle_wake_s,
-                              " — idle sessions need tokens left to "
-                              "generate and a non-negative wake time");
+        return invalid("request ", r.id, " parks after ",
+                       r.idle_after_tokens, " of ", r.output_tokens,
+                       " output tokens with wake time ", r.idle_wake_s,
+                       " — idle sessions need tokens left to "
+                       "generate and a non-negative wake time");
     if (r.deadline_s > 0 && r.deadline_s <= r.arrival_s)
-        return detail::concat("request ", r.id, " has deadline ",
-                              r.deadline_s, " s at or before its arrival ",
-                              r.arrival_s, " s");
-    return "";
+        return invalid("request ", r.id, " has deadline ", r.deadline_s,
+                       " s at or before its arrival ", r.arrival_s, " s");
+    return {};
 }
 
 double
@@ -522,9 +523,9 @@ void
 Engine::streamAdd(Request* r)
 {
     BITDEC_ASSERT(stream_active_, "streamAdd outside an active stream");
-    const std::string err = admissionError(*r);
-    if (!err.empty())
-        BITDEC_FATAL(err);
+    const Admission adm = admission(*r);
+    if (!adm.ok())
+        BITDEC_FATAL(adm.message);
     // Keep the not-yet-enqueued tail of live_ sorted by arrival (stable
     // for ties): mid-run submissions slot in exactly where a batch run
     // would have ordered them, so the two modes tick identically.

@@ -189,16 +189,16 @@ class Engine
     void streamBegin(TokenSink sink = {});
 
     /**
-     * Non-fatal admission validation: the exact message run() would die
-     * with for @p r (invalid lengths/prefix/idle/deadline shape, or a
-     * request that can never fit the page pool), empty when admissible.
-     * One source of truth, so a network front end rejects with the same
-     * fail-fast text the CLI prints.
+     * Non-fatal admission validation: Invalid (lengths/prefix/idle/
+     * deadline shape) or OverCapacity (can never fit the page pool) with
+     * the exact message run() would die with. One source of truth, so a
+     * network front end rejects with the same fail-fast text the CLI
+     * prints.
      */
-    std::string admissionError(const Request& r) const;
+    Admission admission(const Request& r) const;
 
     /**
-     * Adds @p r to the live run. The request must pass admissionError
+     * Adds @p r to the live run. The request must pass admission()
      * (checked; violations are fatal — remote callers check first) and
      * the pointer must outlive the stream. Arrivals earlier than the
      * current clock are admitted at the next tick.

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 
 namespace bitdec::serving {
 
@@ -147,6 +148,25 @@ struct Request
 
     /** End-to-end latency; only valid when done(). */
     double latency() const { return finish_s - arrival_s; }
+};
+
+/** Why a request cannot be admitted. */
+enum class AdmissionCode
+{
+    Ok,           //!< admissible
+    Invalid,      //!< bad shape: lengths, prefix, idle or deadline
+    OverCapacity, //!< can never fit the page pool
+    DuplicateId,  //!< id already submitted
+};
+
+/** An admission verdict: its code and the fail-fast message (empty when
+ *  admissible). */
+struct Admission
+{
+    AdmissionCode code = AdmissionCode::Ok;
+    std::string message;
+
+    bool ok() const { return code == AdmissionCode::Ok; }
 };
 
 /**

@@ -293,17 +293,18 @@ expectDequantsLike(const kv::PackedHeadCache& cache, const kv::PackedBlock& x,
                    const kv::PackedBlock& y, bool keys,
                    const std::string& what)
 {
-    const int d = cache.headDim();
-    const int nr = cache.residualBlockSize();
-    const int bits = cache.config().bits;
+    const kv::PackedLayout& lay = cache.layout();
+    const int d = lay.head_dim;
+    const int nr = lay.nr;
+    const int bits = lay.config.bits;
     const std::size_t n = static_cast<std::size_t>(nr) * d;
     std::vector<float> want(n), got(n);
     std::vector<float> scratch(
         exec::simd::dequantScratch(x.params.numel(), bits));
-    exec::dequantBlock(y.units, keys ? cache.keyRoutes() : cache.valueRoutes(),
+    exec::dequantBlock(y.units, keys ? lay.k_routes : lay.v_routes,
                        y.params, bits, want.data());
     const exec::simd::PlanView view =
-        (keys ? cache.keyLinearPlan() : cache.valueLinearPlan()).view();
+        (keys ? lay.k_plan : lay.v_plan).view();
     for (auto level : {exec::simd::Level::Scalar, exec::simd::Level::Avx2,
                        exec::simd::Level::Avx512}) {
         if (!exec::simd::levelSupported(level))

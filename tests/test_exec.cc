@@ -186,10 +186,10 @@ TEST(DequantPlan, BlockDequantMatchesReferenceBitExactly)
                     cache.keyBlocks()[static_cast<std::size_t>(blk)];
                 const auto& vb =
                     cache.valueBlocks()[static_cast<std::size_t>(blk)];
-                exec::dequantBlock(kb.units, cache.keyRoutes(), kb.params,
-                                   bits, kt.data());
-                exec::dequantBlock(vb.units, cache.valueRoutes(), vb.params,
-                                   bits, vt.data());
+                exec::dequantBlock(kb.units, cache.layout().k_routes,
+                                   kb.params, bits, kt.data());
+                exec::dequantBlock(vb.units, cache.layout().v_routes,
+                                   vb.params, bits, vt.data());
                 for (int t = 0; t < nr; t++) {
                     const std::size_t tok =
                         static_cast<std::size_t>(blk * nr + t);

@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.h"
+#include "core/bitdecoding.h"
 #include "core/residual_kernel.h"
 #include "exec/simd/dispatch.h"
+#include "exec/thread_pool.h"
 #include "kvcache/kv_cache.h"
 #include "kvcache/paged_cache.h"
 #include "layout/induced_layout.h"
@@ -317,6 +322,102 @@ TEST(PackedCache, HostBytesPerTokenStayLowBit)
     EXPECT_GE(per_token, 0.3125 * fp16_per_token);
 }
 
+// ---------------------------------------------- shared packed layout ----
+
+TEST(PackedLayout, CachesOfOneShapeShareOneLayout)
+{
+    const kv::PackedHeadCache a(128, quant::QuantConfig{}, WarpTiling{});
+    const kv::PackedHeadCache b(128, quant::QuantConfig{}, WarpTiling{});
+    EXPECT_EQ(&a.layout(), &b.layout());
+
+    // One layer's KV heads, as the decoders build them.
+    core::BitDecodingConfig cfg;
+    std::vector<std::unique_ptr<core::HeadDecoder>> heads;
+    for (int h = 0; h < 8; h++)
+        heads.push_back(std::make_unique<core::HeadDecoder>(128, cfg));
+    for (const auto& h : heads)
+        EXPECT_EQ(&h->cache().layout(), &a.layout());
+}
+
+TEST(PackedLayout, EveryShapeFieldSelectsItsOwnLayout)
+{
+    const quant::QuantConfig base;
+    quant::QuantConfig two_bit = base, tensor_wise = base, group64 = base;
+    two_bit.bits = 2;
+    tensor_wise.key_granularity = quant::Granularity::TensorWise;
+    group64.group_size = 64;
+    WarpTiling wn8;
+    wn8.wn = 8;
+    std::vector<std::unique_ptr<kv::PackedHeadCache>> caches;
+    for (const auto& [d, qc, tiling] :
+         {std::tuple{128, base, WarpTiling{}},
+          std::tuple{64, base, WarpTiling{}},
+          std::tuple{128, two_bit, WarpTiling{}},
+          std::tuple{128, tensor_wise, WarpTiling{}},
+          std::tuple{128, group64, WarpTiling{}},
+          std::tuple{128, base, wn8}}) {
+        caches.push_back(std::make_unique<kv::PackedHeadCache>(d, qc, tiling));
+        const kv::PackedLayout& lay = caches.back()->layout();
+        EXPECT_EQ(lay.head_dim, d);
+        EXPECT_EQ(lay.config.bits, qc.bits);
+        EXPECT_EQ(lay.config.key_granularity, qc.key_granularity);
+        EXPECT_EQ(lay.config.group_size, qc.group_size);
+        EXPECT_EQ(lay.tiling.wn, tiling.wn);
+    }
+    std::set<const kv::PackedLayout*> distinct;
+    for (const auto& c : caches)
+        distinct.insert(&c->layout());
+    EXPECT_EQ(distinct.size(), caches.size());
+}
+
+TEST(PackedLayout, LastCacheGoneFreesTheLayout)
+{
+    quant::QuantConfig qc;
+    qc.bits = 2;
+    WarpTiling tiling;
+    tiling.wn = 2;
+    std::weak_ptr<const kv::PackedLayout> old;
+    {
+        const auto cache =
+            std::make_unique<kv::PackedHeadCache>(64, qc, tiling);
+        const auto held = kv::PackedLayout::shared(64, qc, tiling);
+        EXPECT_EQ(held.get(), &cache->layout());
+        old = held;
+    }
+    EXPECT_TRUE(old.expired());
+    const auto fresh = kv::PackedLayout::shared(64, qc, tiling);
+    ASSERT_NE(fresh, nullptr);
+    EXPECT_EQ(fresh->head_dim, 64);
+    EXPECT_TRUE(old.expired()); // a new build, not the old one revived
+}
+
+TEST(PackedLayout, ConcurrentCachesOfOneShapeGetOneLayout)
+{
+    // A shape no other test keeps alive, so the first builds race.
+    quant::QuantConfig qc;
+    qc.bits = 2;
+    qc.key_granularity = quant::Granularity::TensorWise;
+    WarpTiling tiling;
+    tiling.wn = 2;
+    std::vector<std::unique_ptr<kv::PackedHeadCache>> caches(32);
+    exec::parallelFor(&exec::ThreadPool::global(), caches.size(),
+                      [&](std::size_t i) {
+        caches[i] = std::make_unique<kv::PackedHeadCache>(128, qc, tiling);
+    });
+    for (const auto& c : caches)
+        EXPECT_EQ(&c->layout(), &caches.front()->layout());
+}
+
+TEST(PackedLayout, EmptyCacheOwnsOnlyItsResidual)
+{
+    // d 128 KC-4: the K and V residuals, [Nr x d] Half each, are all an
+    // empty cache holds; routes and plans belong to the shared layout.
+    const kv::PackedHeadCache cache(128, quant::QuantConfig{}, WarpTiling{});
+    ASSERT_EQ(cache.residualBlockSize(), 128);
+    EXPECT_EQ(cache.hostBytes(), 65536u);
+    EXPECT_GT(cache.layout().hostBytes(), cache.hostBytes());
+}
+
 // -------------------------------------------- residual kernel induction ----
 
 /** The table this host packs with (BITDEC_SIMD caps it). */
@@ -350,8 +451,8 @@ TEST(ResidualKernel, WarpPackMatchesCanonicalPackBytesKC4)
 
     const kv::PackedHeadCache cache(d, qc, tiling);
     kv::PackedBlock canon_k, canon_v;
-    kv::packBlock(packKernels(), cache, kb.data(), vb.data(), canon_k,
-                  canon_v);
+    kv::packBlock(packKernels(), cache.layout(), kb.data(), vb.data(),
+                  canon_k, canon_v);
 
     const kv::PackedBlock warp_k =
         core::residualKernelPackKeys(kb, qc, klay);
@@ -386,8 +487,8 @@ TEST(ResidualKernel, WarpPackMatchesCanonicalPackBytesKT2)
     }
     const kv::PackedHeadCache cache(d, qc, tiling);
     kv::PackedBlock canon_k, canon_v;
-    kv::packBlock(packKernels(), cache, kb.data(), vb.data(), canon_k,
-                  canon_v);
+    kv::packBlock(packKernels(), cache.layout(), kb.data(), vb.data(),
+                  canon_k, canon_v);
     EXPECT_EQ(core::residualKernelPackKeys(kb, qc, klay).units,
               canon_k.units);
     EXPECT_EQ(core::residualKernelPackValues(vb, qc, vlay).units,

@@ -130,14 +130,15 @@ expectDequantsLikeMagicValue(const kv::PackedHeadCache& cache,
                              const kv::PackedBlock& b, bool keys,
                              const std::string& what)
 {
-    const int d = cache.headDim();
-    const int nr = cache.residualBlockSize();
-    const int bits = cache.config().bits;
+    const kv::PackedLayout& lay = cache.layout();
+    const int d = lay.head_dim;
+    const int nr = lay.nr;
+    const int bits = lay.config.bits;
     const std::size_t n = static_cast<std::size_t>(nr) * d;
     const exec::simd::LinearDequantPlan& plan =
-        keys ? cache.keyLinearPlan() : cache.valueLinearPlan();
+        keys ? lay.k_plan : lay.v_plan;
     std::vector<float> want(n), got(n);
-    exec::dequantBlock(b.units, keys ? cache.keyRoutes() : cache.valueRoutes(),
+    exec::dequantBlock(b.units, keys ? lay.k_routes : lay.v_routes,
                        b.params, bits, want.data());
     // Destination i of the plan is token-major element tm of want.
     const auto tokenMajor = [&](std::size_t i) {
@@ -220,7 +221,8 @@ TEST_P(InductionSweepP, ResidualBlockAlignsInducedLayout)
                 expectDequantsLikeMagicValue(cache, wv, false, cfg + " V");
                 for (const auto& [kt, name] : supportedKernelTables()) {
                     kv::PackedBlock ck, cv;
-                    kv::packBlock(*kt, cache, kb.data(), vb.data(), ck, cv);
+                    kv::packBlock(*kt, cache.layout(), kb.data(), vb.data(),
+                                  ck, cv);
                     const std::string what =
                         std::string(name) + " " + qc.label() + " gs=" +
                         std::to_string(gs) + (edges ? " edges" : "");
@@ -271,12 +273,12 @@ TEST_P(InductionSweepP, EveryHalfPatternQuantizesLikeQuantizeValue)
                         static_cast<std::uint16_t>(pattern++ & 0xFFFF));
             }
             kv::PackedBlock sk, sv;
-            kv::packBlock(*tables[0].first, cache, blk.data(), blk.data(), sk,
-                          sv);
+            kv::packBlock(*tables[0].first, cache.layout(), blk.data(),
+                          blk.data(), sk, sv);
             for (std::size_t l = 1; l < tables.size(); l++) {
                 kv::PackedBlock ck, cv;
-                kv::packBlock(*tables[l].first, cache, blk.data(), blk.data(),
-                              ck, cv);
+                kv::packBlock(*tables[l].first, cache.layout(), blk.data(),
+                              blk.data(), ck, cv);
                 for (const auto& [got, want] :
                      {std::pair{&ck, &sk}, std::pair{&cv, &sv}}) {
                     ASSERT_EQ(got->units, want->units) << tables[l].second;
@@ -286,8 +288,8 @@ TEST_P(InductionSweepP, EveryHalfPatternQuantizesLikeQuantizeValue)
                         << tables[l].second;
                 }
             }
-            const auto& kp = cache.keyLinearPlan();
-            const auto& vp = cache.valueLinearPlan();
+            const auto& kp = cache.layout().k_plan;
+            const auto& vp = cache.layout().v_plan;
             for (int t = 0; t < nr; t++) {
                 for (int g = 0; g < d / gs; g++) {
                     const Half* x = blk.data() +
@@ -340,9 +342,10 @@ expectEveryCodeDequants(const kv::PackedHeadCache& cache,
                         const kv::PackedBlock& b, bool keys,
                         const std::string& what)
 {
-    const int bits = cache.config().bits;
+    const kv::PackedLayout& lay = cache.layout();
+    const int bits = lay.config.bits;
     const exec::simd::LinearDequantPlan& plan =
-        keys ? cache.keyLinearPlan() : cache.valueLinearPlan();
+        keys ? lay.k_plan : lay.v_plan;
     std::vector<unsigned> rank(plan.size());
     std::vector<unsigned> seen(b.params.numel());
     for (std::size_t i = 0; i < plan.size(); i++)
@@ -386,8 +389,9 @@ TEST(DequantSweep, EveryLevelMatchesDequantBlockAndMagicValue)
                         const Tensor<Half> v =
                             sweepBlock(rng, nr, d, gs, edges);
                         kv::PackedBlock kb, vb;
-                        kv::packBlock(*exec::simd::scalarKernels(), cache,
-                                      k.data(), v.data(), kb, vb);
+                        kv::packBlock(*exec::simd::scalarKernels(),
+                                      cache.layout(), k.data(), v.data(), kb,
+                                      vb);
                         const std::string what =
                             qc.label() + " gs=" + std::to_string(gs) +
                             " wn=" + std::to_string(wn) +
@@ -775,12 +779,12 @@ TEST(SimdProperties, LinearDequantBitExactUnderExtremeHalves)
         const kv::PackedBlock& vb = cache.valueBlocks()[0];
         const std::size_t n = static_cast<std::size_t>(nr) * d;
         std::vector<float> k_ref(n), v_ref(n);
-        exec::dequantBlock(kb.units, cache.keyRoutes(), kb.params, bits,
-                           k_ref.data());
-        exec::dequantBlock(vb.units, cache.valueRoutes(), vb.params, bits,
-                           v_ref.data());
-        const auto kp = cache.keyLinearPlan().view();
-        const auto vp = cache.valueLinearPlan().view();
+        exec::dequantBlock(kb.units, cache.layout().k_routes, kb.params,
+                           bits, k_ref.data());
+        exec::dequantBlock(vb.units, cache.layout().v_routes, vb.params,
+                           bits, v_ref.data());
+        const auto kp = cache.layout().k_plan.view();
+        const auto vp = cache.layout().v_plan.view();
         std::vector<float> scratch(exec::simd::dequantScratch(
             std::max(kb.params.numel(), vb.params.numel()), bits));
         for (const auto& [kt, name] : supportedKernelTables()) {

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "gpusim/arch.h"
@@ -631,6 +633,44 @@ TEST(Engine, SmokeTraceCompletesEveryRequest)
     EXPECT_GT(m.sustained_tokens_per_s, 0);
     EXPECT_GT(m.ttft_p99_s, 0);
     EXPECT_GE(m.latency_p99_s, m.latency_p50_s);
+}
+
+TEST(Engine, AdmissionNamesEachCauseWithItsMessage)
+{
+    using serving::AdmissionCode;
+    // One shard is an EngineClient, two a Cluster: both classify alike.
+    for (int shards : {1, 2}) {
+        auto client = serving::makeServingClient(
+            sim::archA100(), model::llama2_7b(), tinyEngineConfig(64), shards);
+        Request ok;
+        ok.id = 1;
+        ok.prompt_tokens = 16;
+        ok.output_tokens = 4;
+        EXPECT_TRUE(client->admission(ok).ok());
+        EXPECT_EQ(client->admissionError(ok), "");
+        client->submit(ok);
+
+        Request empty = ok, huge = ok, late = ok;
+        empty.id = 2;
+        empty.prompt_tokens = 0;
+        huge.id = 3;
+        huge.prompt_tokens = 100000;
+        late.id = 4;
+        late.arrival_s = 1.0;
+        late.deadline_s = 0.5;
+        for (const auto& [r, code, text] :
+             {std::tuple{empty, AdmissionCode::Invalid, "non-empty prompt"},
+              std::tuple{huge, AdmissionCode::OverCapacity, "can never fit"},
+              std::tuple{late, AdmissionCode::Invalid, "has deadline"},
+              std::tuple{ok, AdmissionCode::DuplicateId,
+                         "duplicate request id 1"}}) {
+            const serving::Admission a = client->admission(r);
+            EXPECT_EQ(a.code, code) << shards << " shards, request " << r.id;
+            EXPECT_NE(a.message.find(text), std::string::npos) << a.message;
+            EXPECT_EQ(a.message, client->admissionError(r));
+        }
+        client->drain();
+    }
 }
 
 TEST(Engine, SurvivesPageExhaustionWithZeroDrops)
