@@ -5,16 +5,18 @@
  * across context lengths and thread counts. Writes machine-readable
  * BENCH_cpu_hotpath.json so the perf trajectory is tracked across PRs.
  *
- * Modes:
+ * Modes (kUsage; any other flag dies naming it):
  *   (default)          full sweep: 4K/32K/128K contexts, 1/4/8 threads
  *   --smoke            4K only, one repetition — the CI perf gate
  *   --backend=<name>   backend to sweep (default fused-packed); CI runs
  *                      the smoke gate once per fused backend
  *   --list-backends    capability matrix; =fused prints the gated names
+ *   --help, -h         print the modes and exit
  *
  * Every context also times HeadDecoder::prefill of its K/V on its own
  * (median over the repetitions, reported as prefill_ms, not gated): the
- * quantize/pack layer of the packed cache. And it splits the packed
+ * quantize/pack layer of the packed cache, serially (t1) and on the
+ * global pool (tN, BITDEC_THREADS threads). And it splits the packed
  * decode step of one head on one thread into its two phases, for every
  * kernel-table level this host supports (medians, not gated):
  * dequant_ms runs dequant_linear over every K and V block, fold_ms runs
@@ -33,11 +35,13 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "backend/harness.h"
 #include "backend/registry.h"
 #include "bench_util.h"
+#include "common/logging.h"
 #include "serving/options.h"
 #include "core/bitdecoding.h"
 #include "core/packing_kernel.h"
@@ -167,7 +171,8 @@ struct ContextResult
     double paged_gather_ms; //!< reference backend over pages; -1 = skipped
     double paged_fused_ms;  //!< fused-paged backend, in place
     double scalar_twin_ms;  //!< scalar twin of a SIMD backend; -1 = N/A
-    double prefill_ms;      //!< median HeadDecoder::prefill of the context
+    double prefill_ms_t1;   //!< median HeadDecoder::prefill, serial
+    double prefill_ms_tn;   //!< the same on the global pool
     std::vector<PhaseTimes> phases; //!< per supported level
 };
 
@@ -221,7 +226,11 @@ runContext(const backend::AttentionBackend& be, int context, bool smoke,
     const int reps = context <= 4096 ? 20 : (context <= 32768 ? 5 : 3);
     {
         std::optional<core::HeadDecoder> dec;
-        r.prefill_ms = medianMs(reps, [&] {
+        r.prefill_ms_t1 = medianMs(reps, [&] {
+            dec.emplace(d, core::BitDecodingConfig{});
+            dec->prefill(fx.keys(), fx.values(), nullptr);
+        });
+        r.prefill_ms_tn = medianMs(reps, [&] {
             dec.emplace(d, core::BitDecodingConfig{});
             dec->prefill(fx.keys(), fx.values());
         });
@@ -277,6 +286,32 @@ runContext(const backend::AttentionBackend& be, int context, bool smoke,
     return r;
 }
 
+constexpr const char* kUsage =
+    "usage: bench_cpu_hotpath [mode]\n\n"
+    "  (no flag)              full sweep: 4K/32K/128K contexts, 1/4/8 "
+    "threads;\n"
+    "                         writes BENCH_cpu_hotpath.json\n"
+    "  --smoke                4K only, the CI perf gate; writes\n"
+    "                         BENCH_cpu_hotpath.smoke.json\n"
+    "  --backend=<name>       backend to sweep (default fused-packed)\n"
+    "  --list-backends[=mode] capability matrix (=names or =fused: bare "
+    "names)\n"
+    "  --help, -h             print this help and exit\n";
+
+/** Dies naming the first argument that is not one of kUsage's flags. */
+void
+rejectUnknownFlags(int argc, char** argv)
+{
+    for (int i = 1; i < argc; i++) {
+        const std::string_view a = argv[i];
+        if (a != "--smoke" && a != "--list-backends" && a != "--help" &&
+            a != "-h" && !a.starts_with("--backend=") &&
+            !a.starts_with("--list-backends="))
+            BITDEC_FATAL("bench_cpu_hotpath: unknown flag '", a,
+                         "' (see --help)");
+    }
+}
+
 } // namespace
 } // namespace bitdec
 
@@ -287,6 +322,11 @@ main(int argc, char** argv)
 
     const serving::ServingOptions opts =
         serving::ServingOptions::parse(argc, argv);
+    if (opts.help) {
+        std::printf("%s", kUsage);
+        return 0;
+    }
+    rejectUnknownFlags(argc, argv);
     if (opts.maybeListBackends())
         return 0;
     const bool smoke = opts.smoke;
@@ -334,9 +374,11 @@ main(int argc, char** argv)
                        "%10.3f");
     }
     bench::section("prefill: HeadDecoder::prefill (KC-4, median)");
-    bench::head("context", {"prefill_ms"});
+    bench::head("context", {"1t", "pool", "scale"});
     for (const ContextResult& r : results)
-        bench::row(std::to_string(r.context / 1024) + "K", {r.prefill_ms},
+        bench::row(std::to_string(r.context / 1024) + "K",
+                   {r.prefill_ms_t1, r.prefill_ms_tn,
+                    r.prefill_ms_t1 / r.prefill_ms_tn},
                    "%10.3f");
     bench::section("packed step phases: one head, 1 thread (KC-4, median)");
     bench::head("context / level", {"dequant", "fold"});
@@ -382,6 +424,8 @@ main(int argc, char** argv)
     std::fprintf(f, "  \"head_dim\": 128,\n  \"gq\": 8,\n");
     std::fprintf(f, "  \"hardware_threads\": %u,\n",
                  std::thread::hardware_concurrency());
+    std::fprintf(f, "  \"global_pool_threads\": %d,\n",
+                 exec::ThreadPool::globalThreadCount());
     std::fprintf(f, "  \"results\": [\n");
     for (std::size_t i = 0; i < results.size(); i++) {
         const ContextResult& r = results[i];
@@ -407,13 +451,14 @@ main(int argc, char** argv)
             "     \"speedup_vs_legacy_1t\": %.2f, "
             "\"scaling_1t_to_8t\": %.2f,\n"
             "     %s,\n"
-            "     \"paged_gather_ms\": %s, \"paged_fused_ms\": %.4f, "
-            "\"prefill_ms\": %.4f,\n"
+            "     \"paged_gather_ms\": %s, \"paged_fused_ms\": %.4f,\n"
+            "     \"prefill_ms\": {\"t1\": %.4f, \"tN\": %.4f},\n"
             "     \"phases\": {",
             r.context, r.legacy_ms, r.legacy_estimated ? "true" : "false",
             r.fused_ms_t1, r.fused_ms_t4, r.fused_ms_t8,
             r.legacy_ms / r.fused_ms_t1, r.fused_ms_t1 / r.fused_ms_t8,
-            twin, gather, r.paged_fused_ms, r.prefill_ms);
+            twin, gather, r.paged_fused_ms, r.prefill_ms_t1,
+            r.prefill_ms_tn);
         for (std::size_t p = 0; p < r.phases.size(); p++)
             std::fprintf(f,
                          "%s\"%s\": {\"dequant_ms\": %.4f, "

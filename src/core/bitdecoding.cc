@@ -30,9 +30,10 @@ HeadDecoder::HeadDecoder(int head_dim, const BitDecodingConfig& config)
 }
 
 void
-HeadDecoder::prefill(const Tensor<Half>& k, const Tensor<Half>& v)
+HeadDecoder::prefill(const Tensor<Half>& k, const Tensor<Half>& v,
+                     exec::ThreadPool* pool)
 {
-    cache_.prefill(k, v);
+    cache_.prefill(k, v, pool);
 }
 
 void

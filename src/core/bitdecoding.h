@@ -57,8 +57,14 @@ class HeadDecoder
   public:
     HeadDecoder(int head_dim, const BitDecodingConfig& config);
 
-    /** Packs a full prompt context. */
-    void prefill(const Tensor<Half>& k, const Tensor<Half>& v);
+    /**
+     * Packs a full prompt context.
+     * @param pool spreads the prompt's whole blocks over its threads
+     *             (default: the global pool); null packs serially. The
+     *             packed cache is bit-identical for any pool.
+     */
+    void prefill(const Tensor<Half>& k, const Tensor<Half>& v,
+                 exec::ThreadPool* pool = &exec::ThreadPool::global());
 
     /** Appends one generated token's K/V. */
     void appendToken(const std::vector<Half>& k, const std::vector<Half>& v);

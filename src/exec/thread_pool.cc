@@ -109,7 +109,8 @@ ThreadPool::parallelFor(std::size_t n, const std::function<void(std::size_t)>& f
     // Nested parallelFor on the same pool would wait on a pending count
     // that includes the caller's own enclosing task — a silent deadlock.
     // Fail loudly instead; callers fan out at one level and pass null
-    // pools to inner kernels.
+    // pools to inner kernels (or use the free parallelFor, which runs
+    // such a call inline).
     BITDEC_ASSERT(t_current_pool != this,
                   "nested parallelFor on the same ThreadPool");
     if (num_threads_ <= 1 || n == 1) {
@@ -156,7 +157,7 @@ void
 parallelFor(ThreadPool* pool, std::size_t n,
             const std::function<void(std::size_t)>& fn)
 {
-    if (pool == nullptr) {
+    if (pool == nullptr || pool == t_current_pool) {
         for (std::size_t i = 0; i < n; i++)
             fn(i);
         return;

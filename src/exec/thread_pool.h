@@ -4,15 +4,23 @@
  *
  * The pool parallelizes the functional hot paths — (sequence, head) fan-out
  * in batched decode and the serving engine, KV-chunk fan-out inside the
- * fused attention kernels — while keeping results bitwise independent of
- * the thread count: tasks write to disjoint, index-addressed slots and the
- * caller performs every reduction sequentially in index order.
+ * fused attention kernels, and block fan-out in the packed cache's
+ * prefill (each whole Nr-token block quantize-packed into its own slot) —
+ * while keeping results bitwise independent of the thread count: tasks
+ * write to disjoint, index-addressed slots and the caller performs every
+ * reduction sequentially in index order.
  *
  * Each worker owns a deque; submissions are distributed round-robin, a
  * worker pops from the front of its own deque and steals from the back of
  * a sibling's when it runs dry. The thread calling parallelFor() joins the
  * workers for the duration of the call, so a pool of size 1 executes
  * entirely inline on the caller.
+ *
+ * Nesting: the member parallelFor() asserts when the calling thread is
+ * already running a task of the same pool (waiting there would deadlock).
+ * The free parallelFor() instead runs such a call inline on the calling
+ * thread, so a kernel that defaults to the global pool (prefill) stays
+ * safe to call from inside a global-pool task.
  *
  * The global pool's size comes from the BITDEC_THREADS environment
  * variable, falling back to std::thread::hardware_concurrency().
@@ -92,9 +100,10 @@ class ThreadPool
 
 /**
  * Convenience: parallelFor on @p pool when given, inline on the calling
- * thread when @p pool is null. Kernels take an optional pool so callers
- * that already fan out at a coarser level (per sequence, per head) run
- * each kernel serially and nested parallelism never arises.
+ * thread when @p pool is null or when this thread is already running a
+ * task of @p pool. Kernels take an optional pool so callers that already
+ * fan out at a coarser level (per sequence, per head) run each kernel
+ * serially and nested parallelism never arises.
  */
 void parallelFor(ThreadPool* pool, std::size_t n,
                  const std::function<void(std::size_t)>& fn);

@@ -188,13 +188,16 @@ PackedHeadCache::appendRow(const Half* k, const Half* v)
     std::copy(v, v + d, v_res_.data() + at);
     res_len_++;
     if (res_len_ == residualBlockSize()) {
-        packRows(k_res_.data(), v_res_.data());
+        packBlock(*kt_, *layout_, k_res_.data(), v_res_.data(),
+                  k_blocks_.emplace_back(), v_blocks_.emplace_back());
+        packed_tokens_ += residualBlockSize();
         res_len_ = 0;
     }
 }
 
 void
-PackedHeadCache::prefill(const Tensor<Half>& k, const Tensor<Half>& v)
+PackedHeadCache::prefill(const Tensor<Half>& k, const Tensor<Half>& v,
+                         exec::ThreadPool* pool)
 {
     BITDEC_ASSERT(k.rank() == 2 && v.rank() == 2 && k.dim(0) == v.dim(0) &&
                   static_cast<int>(k.dim(1)) == headDim() &&
@@ -208,20 +211,22 @@ PackedHeadCache::prefill(const Tensor<Half>& k, const Tensor<Half>& v)
     // block boundary; then pack whole blocks straight from the input.
     for (; res_len_ != 0 && t < len; t++)
         appendRow(k.data() + t * d, v.data() + t * d);
-    for (; t + nr <= len; t += nr)
-        packRows(k.data() + t * d, v.data() + t * d);
-    for (; t < len; t++)
+    // Whole blocks are independent: each packs into its own slot, on any
+    // thread (packBlock's scratch is thread-local; the kernel table and
+    // the layout are immutable), so the bytes do not depend on the pool.
+    const std::size_t nb = (len - t) / nr;
+    const std::size_t b0 = k_blocks_.size();
+    k_blocks_.resize(b0 + nb);
+    v_blocks_.resize(b0 + nb);
+    const Half* k0 = k.data() + t * d;
+    const Half* v0 = v.data() + t * d;
+    exec::parallelFor(pool, nb, [&](std::size_t b) {
+        packBlock(*kt_, *layout_, k0 + b * nr * d, v0 + b * nr * d,
+                  k_blocks_[b0 + b], v_blocks_[b0 + b]);
+    });
+    packed_tokens_ += static_cast<int>(nb * nr);
+    for (t += nb * nr; t < len; t++)
         appendRow(k.data() + t * d, v.data() + t * d);
-}
-
-void
-PackedHeadCache::packRows(const Half* k, const Half* v)
-{
-    PackedBlock kb, vb;
-    packBlock(*kt_, *layout_, k, v, kb, vb);
-    k_blocks_.push_back(std::move(kb));
-    v_blocks_.push_back(std::move(vb));
-    packed_tokens_ += residualBlockSize();
 }
 
 double

@@ -21,6 +21,7 @@
 #include "exec/dequant_plan.h"
 #include "exec/simd/dequant_linear.h"
 #include "exec/simd/kernel_table.h"
+#include "exec/thread_pool.h"
 #include "layout/induced_layout.h"
 #include "layout/tile.h"
 #include "quant/int_quant.h"
@@ -146,8 +147,15 @@ class PackedHeadCache
      * packs every following full block straight from the input rows,
      * and keeps the tail in the residual. Same state as appending the
      * rows one by one.
+     *
+     * @param pool spreads the whole blocks over its threads, one task
+     *             per block; null packs them on the calling thread, as
+     *             does a call from inside a task of @p pool. The
+     *             residual top-up and tail always run on the caller.
+     *             The result is bit-identical for any pool.
      */
-    void prefill(const Tensor<Half>& k, const Tensor<Half>& v);
+    void prefill(const Tensor<Half>& k, const Tensor<Half>& v,
+                 exec::ThreadPool* pool = &exec::ThreadPool::global());
 
     /** Total tokens (packed + residual). */
     int length() const { return packed_tokens_ + res_len_; }
@@ -201,9 +209,6 @@ class PackedHeadCache
   private:
     /** Appends one token row; packs the residual when it fills. */
     void appendRow(const Half* k, const Half* v);
-
-    /** Packs Nr token rows of K and V into the next block. */
-    void packRows(const Half* k, const Half* v);
 
     std::shared_ptr<const PackedLayout> layout_;
 

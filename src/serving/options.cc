@@ -101,9 +101,37 @@ ServingOptions::parse(int argc, char** argv)
                 BITDEC_FATAL("--tier= must be 'host', 'host,disk' or "
                              "'none', got '",
                              o.tier, "'");
+        } else if (std::strcmp(arg, "--help") == 0 ||
+                   std::strcmp(arg, "-h") == 0) {
+            o.help = true;
         }
     }
     return o;
+}
+
+const char*
+ServingOptions::flagsHelp()
+{
+    return "  --backend=<name>          per-step attention backend "
+           "(see --list-backends)\n"
+           "  --list-backends[=mode]    print the backends this host runs "
+           "and exit\n"
+           "                            (capability matrix; =names or "
+           "=fused: bare names)\n"
+           "  --faults=<spec>           fault-injection storm, e.g. "
+           "fetch=0.02,corrupt=0.01\n"
+           "  --fault-seed=<n>          chaos decision seed\n"
+           "  --shards=<n>              engine replicas behind the client "
+           "(default 1)\n"
+           "  --smoke                   CI gate mode (subset of runs, hard "
+           "pass/fail)\n"
+           "  --port=<n>                TCP port (default 9178; 0 = "
+           "ephemeral on the server)\n"
+           "  --hot-pool-pages=<n>      hot KV pool size for tiered "
+           "scenarios (default 2048)\n"
+           "  --tier=<layout>           cold tiers: host | host,disk | none "
+           "(default host,disk)\n"
+           "  --help, -h                print this help and exit\n";
 }
 
 bool

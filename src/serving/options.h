@@ -21,6 +21,7 @@
  *                             0 = ephemeral on the server)
  *   --hot-pool-pages=<n>      hot KV pool size for tiered scenarios
  *   --tier=<layout>           cold tiers: host | host,disk | none
+ *   --help, -h                the caller prints its usage and exits 0
  *
  * Unknown arguments are left for the caller; malformed values for the
  * flags above die immediately naming the flag (never a silent default).
@@ -72,6 +73,11 @@ struct ServingOptions
 
     int hot_pool_pages = 2048;      //!< --hot-pool-pages=<n>
     std::string tier = "host,disk"; //!< --tier=host|host,disk|none
+
+    bool help = false; //!< --help / -h: print usage, run nothing
+
+    /** The shared flags, one per line, for a binary's --help text. */
+    static const char* flagsHelp();
 
     /** Scans argv; unrelated arguments are ignored, malformed values
      *  for known flags are fatal. */

@@ -467,7 +467,7 @@ TEST(ServingOptions, ParsesTheSharedFlagGrammar)
     const ServingOptions o =
         parseArgs({"--backend=reference", "--shards=4", "--smoke",
                    "--faults=fetch=0.5", "--fault-seed=7", "--tier=host",
-                   "--hot-pool-pages=128"});
+                   "--hot-pool-pages=128", "-h"});
     EXPECT_EQ(o.backend, "reference");
     EXPECT_EQ(o.shards, 4);
     EXPECT_TRUE(o.smoke);
@@ -476,6 +476,15 @@ TEST(ServingOptions, ParsesTheSharedFlagGrammar)
     EXPECT_EQ(o.fault_seed, 7u);
     EXPECT_EQ(o.tier, "host");
     EXPECT_EQ(o.hot_pool_pages, 128);
+    EXPECT_TRUE(o.help);
+    EXPECT_TRUE(parseArgs({"--help"}).help);
+    // --help lists every shared flag.
+    const std::string help = ServingOptions::flagsHelp();
+    for (const char* flag :
+         {"--backend=", "--list-backends", "--faults=", "--fault-seed=",
+          "--shards=", "--smoke", "--port=", "--hot-pool-pages=", "--tier=",
+          "--help"})
+        EXPECT_NE(help.find(flag), std::string::npos) << flag;
 }
 
 TEST(ServingOptions, UnknownArgumentsAreLeftForTheCaller)
@@ -486,6 +495,7 @@ TEST(ServingOptions, UnknownArgumentsAreLeftForTheCaller)
     EXPECT_FALSE(o.smoke);
     EXPECT_FALSE(o.fault_seed_given);
     EXPECT_EQ(o.tier, "host,disk");
+    EXPECT_FALSE(o.help);
 }
 
 TEST(ServingOptions, MalformedValuesDieNamingTheFlag)

@@ -21,6 +21,7 @@
 #include "core/residual_kernel.h"
 #include "exec/dequant_plan.h"
 #include "exec/simd/dispatch.h"
+#include "exec/thread_pool.h"
 #include "gpusim/arch.h"
 
 namespace bitdec::core {
@@ -363,6 +364,12 @@ expectSameCache(const kv::PackedHeadCache& a, const kv::PackedHeadCache& b,
     EXPECT_TRUE(same(a.residualValues().data(), b.residualValues().data(),
                      live, 2))
         << what;
+    Tensor<Half> ka, va, kb, vb;
+    a.dequantizeAll(ka, va);
+    b.dequantizeAll(kb, vb);
+    ASSERT_EQ(ka.numel(), kb.numel()) << what;
+    EXPECT_TRUE(same(ka.data(), kb.data(), ka.numel(), 2)) << what;
+    EXPECT_TRUE(same(va.data(), vb.data(), va.numel(), 2)) << what;
 }
 
 TEST(HeadDecoder, StreamingAppendMatchesPrefill)
@@ -416,6 +423,54 @@ TEST(HeadDecoder, StreamingAppendMatchesPrefill)
     const Tensor<float> out = dec.fusedDecodeStep(q, 0.125f);
     for (std::size_t i = 0; i < out.numel(); i++)
         ASSERT_NEAR(out[i], 0.25f, 1e-3f) << i;
+}
+
+TEST(HeadDecoder, PrefillIsBitIdenticalForAnyPool)
+{
+    // Prefill fans its whole blocks out over a pool. Every pool, the
+    // default (global) one included, must leave the serial bytes: for a
+    // prompt that ends mid-block, and after a partly filled residual
+    // (the serial top-up before the fan-out).
+    exec::ThreadPool one(1), three(3);
+    const int d = 64;
+    Rng rng(108);
+    for (const auto& [bits, gran] :
+         {std::pair{4, quant::Granularity::ChannelWise},
+          std::pair{2, quant::Granularity::TensorWise}}) {
+        BitDecodingConfig cfg;
+        cfg.quant.bits = bits;
+        cfg.quant.key_granularity = gran;
+        const int nr = HeadDecoder(d, cfg).cache().residualBlockSize();
+        const int len = 5 * nr + 37;
+        Tensor<Half> k, v;
+        makeKv(rng, len, d, k, v);
+        for (int pre : {0, nr / 2 + 3}) {
+            const Tensor<Half> k0 = rowsOf(k, 0, pre), v0 = rowsOf(v, 0, pre);
+            const Tensor<Half> k1 = rowsOf(k, pre, len),
+                               v1 = rowsOf(v, pre, len);
+            HeadDecoder serial(d, cfg);
+            serial.prefill(k0, v0, nullptr);
+            serial.prefill(k1, v1, nullptr);
+            ASSERT_EQ(serial.cache().packedTokens(), 5 * nr);
+            for (const auto& [name, pool] :
+                 {std::pair<const char*, exec::ThreadPool*>{"null", nullptr},
+                  std::pair<const char*, exec::ThreadPool*>{"1", &one},
+                  std::pair<const char*, exec::ThreadPool*>{"3", &three}}) {
+                HeadDecoder dec(d, cfg);
+                dec.prefill(k0, v0, pool);
+                dec.prefill(k1, v1, pool);
+                expectSameCache(dec.cache(), serial.cache(),
+                                cfg.quant.label() + " pre=" +
+                                    std::to_string(pre) + " pool=" + name);
+            }
+            HeadDecoder global(d, cfg);
+            global.prefill(k0, v0);
+            global.prefill(k1, v1);
+            expectSameCache(global.cache(), serial.cache(),
+                            cfg.quant.label() + " pre=" +
+                                std::to_string(pre) + " pool=global");
+        }
+    }
 }
 
 // ------------------------------------------------------------- MX path ----

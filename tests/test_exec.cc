@@ -138,6 +138,21 @@ TEST(ThreadPoolDeathTest, NestedParallelForOnSamePoolPanics)
         "nested parallelFor");
 }
 
+TEST(ThreadPool, FreeParallelForNestedOnSamePoolRunsInline)
+{
+    // The free function is what kernels defaulting to a pool call; from
+    // inside a task of that pool it runs inline instead of asserting.
+    exec::ThreadPool pool(3);
+    std::vector<std::atomic<int>> hits(8 * 5);
+    pool.parallelFor(8, [&](std::size_t i) {
+        exec::parallelFor(&pool, 5, [&](std::size_t j) {
+            hits[i * 5 + j].fetch_add(1);
+        });
+    });
+    for (std::size_t i = 0; i < hits.size(); i++)
+        EXPECT_EQ(hits[i].load(), 1) << "i=" << i;
+}
+
 TEST(ThreadPool, ReusableAcrossManyParallelFors)
 {
     exec::ThreadPool pool(3);

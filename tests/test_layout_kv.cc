@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <tuple>
@@ -393,19 +394,52 @@ TEST(PackedLayout, LastCacheGoneFreesTheLayout)
 
 TEST(PackedLayout, ConcurrentCachesOfOneShapeGetOneLayout)
 {
-    // A shape no other test keeps alive, so the first builds race.
+    // A shape no other test keeps alive, so the first builds race. Each
+    // task then prefills on the default pool — the global pool it is
+    // already running on — which must run inline (no nested-parallelFor
+    // assert) and leave the serial bytes.
     quant::QuantConfig qc;
     qc.bits = 2;
     qc.key_granularity = quant::Granularity::TensorWise;
     WarpTiling tiling;
     tiling.wn = 2;
+    const int d = 128;
+    const std::size_t len = 2 * 128 + 7; // Nr = 128: two blocks + a tail
+    Rng rng(65);
+    Tensor<Half> k({len, static_cast<std::size_t>(d)});
+    Tensor<Half> v({len, static_cast<std::size_t>(d)});
+    for (std::size_t i = 0; i < k.numel(); i++) {
+        k[i] = Half(rng.normal());
+        v[i] = Half(rng.normal());
+    }
     std::vector<std::unique_ptr<kv::PackedHeadCache>> caches(32);
     exec::parallelFor(&exec::ThreadPool::global(), caches.size(),
                       [&](std::size_t i) {
-        caches[i] = std::make_unique<kv::PackedHeadCache>(128, qc, tiling);
+        caches[i] = std::make_unique<kv::PackedHeadCache>(d, qc, tiling);
+        caches[i]->prefill(k, v);
     });
-    for (const auto& c : caches)
+    kv::PackedHeadCache serial(d, qc, tiling);
+    serial.prefill(k, v, nullptr);
+    ASSERT_EQ(serial.residualBlockSize(), 128);
+    for (const auto& c : caches) {
         EXPECT_EQ(&c->layout(), &caches.front()->layout());
+        EXPECT_EQ(c->packedTokens(), serial.packedTokens());
+        EXPECT_EQ(c->residualLength(), serial.residualLength());
+        for (const auto& [got, want] :
+             {std::pair{&c->keyBlocks(), &serial.keyBlocks()},
+              std::pair{&c->valueBlocks(), &serial.valueBlocks()}}) {
+            ASSERT_EQ(got->size(), want->size());
+            for (std::size_t b = 0; b < got->size(); b++) {
+                EXPECT_EQ((*got)[b].units, (*want)[b].units);
+                ASSERT_EQ((*got)[b].params.numel(),
+                          (*want)[b].params.numel());
+                EXPECT_EQ(0, std::memcmp((*got)[b].params.data(),
+                                         (*want)[b].params.data(),
+                                         (*got)[b].params.numel() *
+                                             sizeof(Half2)));
+            }
+        }
+    }
 }
 
 TEST(PackedLayout, EmptyCacheOwnsOnlyItsResidual)

@@ -15,6 +15,7 @@
  * --faults/--fault-seed, --tier, --hot-pool-pages, --list-backends.
  * Server-only: --max-inflight=<n> (admission cap, default 64),
  * --write-buffer-kb=<n> (per-connection backpressure watermark).
+ * --help prints both lists and exits without binding a port.
  */
 #include <cstdio>
 #include <cstring>
@@ -76,10 +77,23 @@ int
 main(int argc, char** argv)
 {
     const ServingOptions opts = ServingOptions::parse(argc, argv);
+    net::ServerConfig sc;
+    if (opts.help) {
+        std::printf(
+            "usage: bitdec_server [flags]\n\n"
+            "Serves the framed protocol of docs/NETWORK.md until "
+            "SIGINT/SIGTERM drains it.\n\nshared flags:\n%s\n"
+            "server-only flags:\n"
+            "  --max-inflight=<n>        admission cap (default %d)\n"
+            "  --write-buffer-kb=<n>     per-connection backpressure "
+            "watermark (default %zu)\n",
+            ServingOptions::flagsHelp(), sc.max_inflight,
+            sc.write_buffer_limit / 1024);
+        return 0;
+    }
     if (opts.maybeListBackends())
         return 0;
 
-    net::ServerConfig sc;
     sc.port = opts.port;
     for (int i = 1; i < argc; i++) {
         if (std::strncmp(argv[i], "--max-inflight=", 15) == 0)
